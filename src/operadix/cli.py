@@ -92,9 +92,14 @@ def cmd_compose(args, cfg: Config) -> int:
     return 0
 
 
+def _is_decorated(text: str) -> bool:
+    """True when a line, comments aside, is the [alphabet] section header."""
+    return any(line.strip() == "[alphabet]" for line in text.splitlines())
+
+
 def cmd_check(args, cfg: Config) -> int:
     text = _read(args.file)
-    if "[alphabet]" in text:
+    if _is_decorated(text):
         decorated = load_decorated(text, cfg)
         bad = check_invariants(decorated.base)
         glue = check_gluing(decorated)
@@ -179,7 +184,7 @@ def cmd_eval(args, cfg: Config) -> int:
 
 def cmd_export(args, cfg: Config) -> int:
     text = _read(args.file)
-    if "[alphabet]" in text:
+    if _is_decorated(text):
         payload = decorated_to_json(load_decorated(text, cfg))
     else:
         payload = state_to_json(load_state(text, cfg))

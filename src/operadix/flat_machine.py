@@ -25,6 +25,7 @@ guard's label and leaves the old state untouched.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 from .core import (
@@ -284,7 +285,7 @@ def component_of(state: FlatState, root: OperadId) -> frozenset[OperadId]:
 
 def foliage_of(state: FlatState, root: OperadId) -> tuple[Position, ...]:
     _require_root(state, root)
-    return tuple(sorted(p for p, oo in state.foliage if oo == root))
+    return tuple(sorted([p for p, oo in state.foliage if oo == root]))
 
 
 def result_arity(n: int, m: int) -> int:
@@ -343,93 +344,104 @@ def check_invariants(state: FlatState) -> list[str]:
            of the root and of every member grafted below it
       SP3  a member with children has one input lost per direct child:
            card(in_op) = arity - number of direct children
+
+    Cost: O(state).  foliage, the g_hat_op keys and g_hook_op are each
+    bucketed by root in one pass; every other test is set algebra or
+    one pass over a relation.
     """
     cfg = state.config
     bad: list[str] = []
     ops = state.my_operads
 
-    def positions_ok(ps) -> bool:
-        return all(1 <= p <= cfg.max_fol for p in ps)
+    def in_range(ps, top: int) -> bool:
+        return not ps or (min(ps) >= 1 and max(ps) <= top)
 
-    if not all(is_operad_id(op) for op in ops):
+    foliage_by_root: defaultdict[OperadId, set[Position]] = defaultdict(set)
+    for p, oo in state.foliage:
+        foliage_by_root[oo].add(p)
+    hat_keys_by_root: defaultdict[OperadId, set[Position]] = defaultdict(set)
+    for p, oo in state.g_hat_op:
+        hat_keys_by_root[oo].add(p)
+    members_by_root: defaultdict[OperadId, list[OperadId]] = defaultdict(list)
+    for oo, root in state.g_hook_op.items():
+        members_by_root[root].append(oo)
+
+    if not all(map(is_operad_id, ops)):
         bad.append("inv10")
-    if not (
-        set(state.arity_op) <= ops
-        and all(1 <= rr <= cfg.max_fol for rr in state.arity_op.values())
-    ):
+    if not (ops.issuperset(state.arity_op) and in_range(state.arity_op.values(), cfg.max_fol)):
         bad.append("inv30")
-    if not all(1 <= p <= cfg.max_fol and oo in ops for p, oo in state.foliage):
+    if not (
+        ops.issuperset(foliage_by_root)
+        and all(in_range(ps, cfg.max_fol) for ps in foliage_by_root.values())
+    ):
         bad.append("inv40")
     if not (
-        set(state.out_op) <= ops
-        and all(all(1 <= p <= cfg.max_args for p in outs) for outs in state.out_op.values())
+        ops.issuperset(state.out_op)
+        and in_range(frozenset().union(*state.out_op.values()), cfg.max_args)
     ):
         bad.append("inv60")
-    if not (set(state.in_op) <= ops and all(positions_ok(ps) for ps in state.in_op.values())):
+    if not (
+        ops.issuperset(state.in_op)
+        and in_range(frozenset().union(*state.in_op.values()), cfg.max_fol)
+    ):
         bad.append("invr10")
-    if not all(
-        1 <= p <= cfg.max_fol and oo in ops and m in ops
-        for (p, oo), m in state.g_hat_op.items()
+    if not (
+        ops.issuperset(hat_keys_by_root)
+        and ops.issuperset(state.g_hat_op.values())
+        and all(in_range(ps, cfg.max_fol) for ps in hat_keys_by_root.values())
     ):
         bad.append("invr20")
-    if not (set(state.hook_op) <= ops and set(state.hook_op.values()) <= ops):
+    if not (ops.issuperset(state.hook_op) and ops.issuperset(state.hook_op.values())):
         bad.append("invr30")
-    if set(state.hook_op) & set(state.out_op):
+    if not state.out_op.keys().isdisjoint(state.hook_op):
         bad.append("invr34")
-    if not (set(state.g_hook_op) <= ops and set(state.g_hook_op.values()) <= ops):
+    if not (ops.issuperset(state.g_hook_op) and ops.issuperset(members_by_root)):
         bad.append("invr40")
     if not all(
-        len(state.in_op[op]) <= state.arity_op[op]
-        for op in ops
-        if op in state.arity_op and op in state.in_op
+        len(ins) <= state.arity_op[op]
+        for op, ins in state.in_op.items()
+        if op in state.arity_op and op in ops
     ):
         bad.append("invr50")
 
+    # SP1 and SP2 look only at roots with grafted members that are
+    # operads, own foliage and have an input set
+    roots_checked = [
+        op
+        for op in members_by_root
+        if op in ops and op in foliage_by_root and op in state.in_op
+    ]
+
     hat_values = set(state.g_hat_op.values())
-    ghook_values = set(state.g_hook_op.values())
-    foliage_ops = {oo for _, oo in state.foliage}
+    for op in roots_checked:
+        if (
+            op in hat_values
+            and op not in state.g_hook_op
+            and hat_keys_by_root.get(op, set()) | state.in_op[op] != foliage_by_root[op]
+        ):
+            bad.append("SP1")
+            break
+
+    for op in roots_checked:
+        covered = set(state.in_op[op])
+        for oo in members_by_root[op]:
+            ins = state.in_op.get(oo)
+            if ins is not None and in_range(ins, cfg.max_fol):
+                covered |= ins
+        if covered != foliage_by_root[op]:
+            bad.append("SP2")
+            break
+
     hook_children: dict[OperadId, int] = {}
     for parent in state.hook_op.values():
         hook_children[parent] = hook_children.get(parent, 0) + 1
-
-    def sp1_holds(op: OperadId) -> bool:
-        keyed = {p for (p, oo) in state.g_hat_op if oo == op}
-        fol = {p for p, oo in state.foliage if oo == op}
-        return keyed | state.in_op[op] == fol
-
-    if state.g_hook_op and state.g_hat_op:
-        for op in ops:
-            if (
-                op in hat_values
-                and op in state.in_op
-                and op not in state.g_hook_op
-                and op in ghook_values
-                and op in foliage_ops
-                and not sp1_holds(op)
-            ):
-                bad.append("SP1")
+    for op, children in hook_children.items():
+        if op in ops and op in state.in_op and op in state.arity_op:
+            if len(state.in_op[op]) != state.arity_op[op] - children:
+                bad.append("SP3")
                 break
 
-    if state.foliage and state.g_hook_op:
-        for op in ops:
-            if op in foliage_ops and op in ghook_values and op in state.in_op:
-                fol = {p for p, oo in state.foliage if oo == op}
-                covered = set(state.in_op[op])
-                for oo, root in state.g_hook_op.items():
-                    if root == op and oo in state.in_op and positions_ok(state.in_op[oo]):
-                        covered |= state.in_op[oo]
-                if fol != covered:
-                    bad.append("SP2")
-                    break
-
-    if state.in_op and state.arity_op and state.hook_op:
-        for op in ops:
-            if op in state.in_op and op in state.arity_op and op in hook_children:
-                if len(state.in_op[op]) != state.arity_op[op] - hook_children[op]:
-                    bad.append("SP3")
-                    break
-
-    return sorted(bad, key=INVARIANT_LABELS.index)
+    return bad
 
 
 def composition_law_violations(state: FlatState, witness: ComposeWitness) -> list[str]:

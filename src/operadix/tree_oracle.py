@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import BoundsError, OperadError, OperadId, Position
-from .flat_machine import FlatState, foliage_of, in_map_of, hat_map_of, hook_map_of, component_of
+from .flat_machine import FlatState, component_of, foliage_of, hat_map_of
 
 
 class DuplicateLabels(OperadError):
@@ -113,31 +113,39 @@ class FlatView:
     hook_map: dict[OperadId, OperadId]
 
 
-def derive_flat_view(tree: TreeOperad) -> FlatView:
+def _walk(tree: TreeOperad) -> tuple[FlatView, dict[OperadId, int]]:
+    """One pre-order walk: the flat view of tree and the arity of each node."""
     in_map: dict[OperadId, set[int]] = {}
     hat_map: dict[int, OperadId] = {}
     hook_map: dict[OperadId, OperadId] = {}
+    arities: dict[OperadId, int] = {}
     counter = 0
 
     def walk(node: TreeOperad) -> None:
         nonlocal counter
-        in_map.setdefault(node.label, set())
+        arities[node.label] = len(node.children)
+        inputs = in_map.setdefault(node.label, set())
         for child in node.children:
             if isinstance(child, TreeOperad):
                 hook_map[child.label] = node.label
                 walk(child)
             else:
                 counter += 1
-                in_map[node.label].add(counter)
+                inputs.add(counter)
                 hat_map[counter] = node.label
 
     walk(tree)
-    return FlatView(
+    view = FlatView(
         foliage=tuple(range(1, counter + 1)),
         in_map={k: frozenset(v) for k, v in in_map.items()},
         hat_map=hat_map,
         hook_map=hook_map,
     )
+    return view, arities
+
+
+def derive_flat_view(tree: TreeOperad) -> FlatView:
+    return _walk(tree)[0]
 
 
 def ancestor_map(tree: TreeOperad) -> dict[OperadId, frozenset[OperadId]]:
@@ -159,12 +167,17 @@ def compare_with_flat(state: FlatState, root: OperadId, tree: TreeOperad) -> lis
 
     Empty result means the flat relations restricted to root's
     component agree exactly with the relations recomputed from the
-    tree.  The grafting closure is also checked: every non-root member
-    must map to the root, and the root must be a genuine tree ancestor
-    of it.
+    tree.  The component is read from g_hook_op, so comparing members
+    also checks that every grafted member maps to the root.  A member
+    with no in_op or arity_op entry shows up as an in or arity
+    mismatch.
+
+    Cost: one walk of the tree, one scan each of foliage, g_hat_op and
+    g_hook_op, and one lookup per member in in_op, hook_op, arity_op
+    and out_op, so O(tree + state).
     """
     problems: list[str] = []
-    view = derive_flat_view(tree)
+    view, arities = _walk(tree)
 
     if tree.label != root:
         problems.append(f"root: machine says {root!r}, tree says {tree.label!r}")
@@ -174,14 +187,12 @@ def compare_with_flat(state: FlatState, root: OperadId, tree: TreeOperad) -> lis
     if fol != view.foliage:
         problems.append(f"foliage: machine {fol} != tree {view.foliage}")
 
-    members = component_of(state, root)
-    if members != labels(tree):
-        problems.append(
-            f"members: machine {sorted(members)} != tree {sorted(labels(tree))}"
-        )
+    members = sorted(component_of(state, root))
+    if members != sorted(view.in_map):
+        problems.append(f"members: machine {members} != tree {sorted(view.in_map)}")
         return problems
 
-    flat_in = in_map_of(state, root)
+    flat_in = {oo: state.in_op[oo] for oo in members if oo in state.in_op}
     if flat_in != view.in_map:
         problems.append(f"in: machine {flat_in} != tree {view.in_map}")
 
@@ -189,40 +200,20 @@ def compare_with_flat(state: FlatState, root: OperadId, tree: TreeOperad) -> lis
     if flat_hat != view.hat_map:
         problems.append(f"hat: machine {flat_hat} != tree {view.hat_map}")
 
-    flat_hook = hook_map_of(state, root)
+    flat_hook = {oo: state.hook_op[oo] for oo in members if oo in state.hook_op}
     if flat_hook != view.hook_map:
         problems.append(f"hook: machine {flat_hook} != tree {view.hook_map}")
 
-    for member, arity in ((m, state.arity_op[m]) for m in sorted(members)):
-        node_arities = _node_arities(tree)
-        if node_arities[member] != arity:
-            problems.append(
-                f"arity: machine says {member!r} has {arity}, tree says {node_arities[member]}"
-            )
-
-    ancestors = ancestor_map(tree)
-    for member in sorted(members - {root}):
-        target = state.g_hook_op.get(member)
-        if target != root:
-            problems.append(f"ghook: {member!r} maps to {target!r}, expected root {root!r}")
-        elif root not in ancestors[member]:
-            problems.append(f"ghook: root {root!r} is not an ancestor of {member!r}")
-    if root in state.g_hook_op:
-        problems.append(f"ghook: root {root!r} must not be grafted anywhere")
+    for member in members:
+        arity = state.arity_op.get(member)
+        if arities[member] != arity:
+            problems.append(f"arity: machine says {member!r} has {arity}, tree says {arities[member]}")
 
     out = state.out_op.get(root)
     if out != frozenset({1}):
         problems.append(f"out: root {root!r} has outputs {out}, expected {{1}}")
-    for member in sorted(members - {root}):
-        if member in state.out_op:
+    for member in members:
+        if member != root and member in state.out_op:
             problems.append(f"out: grafted member {member!r} still has outputs")
 
     return problems
-
-
-def _node_arities(tree: TreeOperad) -> dict[OperadId, int]:
-    out = {tree.label: len(tree.children)}
-    for child in tree.children:
-        if isinstance(child, TreeOperad):
-            out.update(_node_arities(child))
-    return out

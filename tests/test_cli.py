@@ -189,6 +189,18 @@ def test_eval_bad_fn_syntax(tmp_path, capsys):
     assert "name=carrier:table" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "export"])
+def test_plain_dump_mentioning_alphabet_in_a_comment(tmp_path, capsys, command):
+    path = tmp_path / "state.dump"
+    path.write_text("# copied from [alphabet] notes\n" + expected_dump())
+    assert main([command, "--json", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    if command == "check":
+        assert data == {"ok": True, "violations": [], "gluing": []}
+    else:
+        assert "alphabet" not in data and data["operads"] == ["f", "g", "h"]
+
+
 def test_export_state(dump_file, capsys):
     assert main(["export", dump_file]) == 0
     data = json.loads(capsys.readouterr().out)

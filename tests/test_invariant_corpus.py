@@ -1,0 +1,173 @@
+"""Golden corpus for check_invariants, plus a property over event traces.
+
+The corpus is built from states that seeded simulator runs reach at the
+default bounds.  Each case applies one seeded mutation to one relation
+of such a state; the data file records the mutation and the labels the
+checker gave.  The generator iterates no unordered container, so the
+cases are the same on every run.
+
+Regenerate the data file only when a label is meant to change:
+
+    PYTHONPATH=src python tests/test_invariant_corpus.py
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from dataclasses import replace
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from operadix import (
+    ComposeSeq,
+    GuardFailed,
+    NewOperad,
+    SimConfig,
+    TraceReset,
+    apply_event,
+    check_invariants,
+    compare_with_flat,
+    elementary,
+    empty_state,
+    graft,
+    leaf_count,
+    run,
+)
+
+CORPUS = Path(__file__).parent / "data" / "invariant_corpus.json"
+
+SEEDS = range(6)
+STEPS = 80
+MUTATIONS_PER_STATE = 8
+
+RELATIONS = (
+    "my_operads",
+    "arity_op",
+    "foliage",
+    "out_op",
+    "in_op",
+    "g_hat_op",
+    "hook_op",
+    "g_hook_op",
+)
+
+
+def reachable_states():
+    """Every third state along the traces of seeded default-bound runs."""
+    for seed in SEEDS:
+        state = empty_state()
+        for step, event in enumerate(run(SimConfig(seed=seed, max_steps=STEPS)).trace):
+            state = empty_state() if isinstance(event, TraceReset) else apply_event(state, event)
+            if step % 3 == 0 and state.my_operads:
+                yield state
+
+
+def mutate(state, rng: random.Random):
+    """One seeded edit of one relation, and a description of the edit."""
+    cfg = state.config
+    pool = sorted(state.my_operads) + ["zz"]
+    name = rng.choice(RELATIONS)
+    rel = getattr(state, name)
+
+    def pos() -> int:
+        return rng.randint(0, cfg.max_fol + 1)
+
+    if name in ("my_operads", "foliage"):
+        items = sorted(rel)
+        if items and rng.random() < 0.5:
+            item = rng.choice(items)
+            return replace(state, **{name: rel - {item}}), f"{name} drop {item!r}"
+        if name == "my_operads":
+            item = rng.choice(["zz", "bad id"])
+        else:
+            item = (pos(), rng.choice(pool))
+        return replace(state, **{name: rel | {item}}), f"{name} add {item!r}"
+
+    keys = sorted(rel)
+    if keys and rng.random() < 0.4:
+        key = rng.choice(keys)
+        return replace(state, **{name: {k: v for k, v in rel.items() if k != key}}), f"{name} drop {key!r}"
+
+    if name == "g_hat_op":
+        key = rng.choice(keys) if keys and rng.random() < 0.5 else (pos(), rng.choice(pool))
+        value = rng.choice(pool)
+    elif name in ("hook_op", "g_hook_op"):
+        key, value = rng.choice(pool), rng.choice(pool)
+    elif name == "arity_op":
+        key, value = rng.choice(pool), rng.randint(0, cfg.max_fol + 1)
+    elif name == "out_op":
+        key, value = rng.choice(pool), frozenset({rng.randint(1, cfg.max_args + 1)})
+    else:  # in_op: toggle one position of an existing set, or set a fresh one
+        key = rng.choice(pool)
+        old = rel.get(key, frozenset())
+        if old and rng.random() < 0.5:
+            value = old - {rng.choice(sorted(old))}
+        else:
+            value = old | {pos()}
+    shown = sorted(value) if isinstance(value, frozenset) else value
+    return replace(state, **{name: {**rel, key: value}}), f"{name} set {key!r} {shown!r}"
+
+
+def corpus_cases():
+    rng = random.Random(20251216)
+    for state in reachable_states():
+        for _ in range(MUTATIONS_PER_STATE):
+            bad, description = mutate(state, rng)
+            yield description, check_invariants(bad)
+
+
+def test_checker_matches_golden_corpus():
+    expected = json.loads(CORPUS.read_text())
+    actual = [[description, labels] for description, labels in corpus_cases()]
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        assert got == want
+
+
+def test_corpus_exercises_every_label():
+    expected = json.loads(CORPUS.read_text())
+    seen = {label for _, labels in expected for label in labels}
+    assert seen >= {"inv10", "inv30", "inv40", "inv60", "invr10", "invr20", "invr30",
+                    "invr34", "invr40", "invr50", "SP1", "SP2", "SP3"}
+
+
+event_plans = st.lists(
+    st.tuples(st.booleans(), st.integers(1, 6), st.integers(0, 7), st.integers(0, 7), st.integers(0, 47)),
+    max_size=30,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan=event_plans)
+def test_event_traces_stay_clean(plan):
+    state = empty_state()
+    mirrors = {}
+    for serial, (create, arity, a, b, slot) in enumerate(plan):
+        roots = sorted(mirrors)
+        if create or len(roots) < 2:
+            event = NewOperad(f"op{serial}", arity)
+        else:
+            op1 = roots[a % len(roots)]
+            others = [r for r in roots if r != op1]
+            event = ComposeSeq(op1, 1 + slot % leaf_count(mirrors[op1]), others[b % len(others)])
+        try:
+            state = apply_event(state, event)
+        except GuardFailed:
+            continue
+        if isinstance(event, NewOperad):
+            mirrors[event.op_id] = elementary(event.op_id, event.arity)
+        else:
+            grafted = mirrors.pop(event.op2)
+            mirrors[event.op1] = graft(mirrors[event.op1], event.pos, grafted)
+        assert check_invariants(state) == []
+        for root in sorted(mirrors):
+            assert compare_with_flat(state, root, mirrors[root]) == []
+
+
+if __name__ == "__main__":
+    CORPUS.parent.mkdir(exist_ok=True)
+    cases = [[description, labels] for description, labels in corpus_cases()]
+    CORPUS.write_text("[\n" + ",\n".join(json.dumps(case) for case in cases) + "\n]\n")
+    print(f"wrote {len(cases)} cases to {CORPUS}")

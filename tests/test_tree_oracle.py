@@ -1,5 +1,7 @@
 """The reference tree model: grafting on real trees, flat views, equivalence."""
 
+from dataclasses import replace
+
 import pytest
 
 from operadix import (
@@ -158,8 +160,6 @@ def test_machine_agrees_with_tree():
 
 
 def test_comparison_reports_input_drift():
-    from dataclasses import replace
-
     s = machine_nested_state()
     bad = replace(s, in_op={**s.in_op, "g": frozenset({2, 3, 4})})
     problems = compare_with_flat(bad, "f", nested_tree())
@@ -172,10 +172,100 @@ def test_comparison_reports_wrong_root():
     assert any(p.startswith("root:") for p in problems)
 
 
-@pytest.mark.skip(reason="flagged: whether the component map should equal the full ancestor closure is left open; it currently maps every member to its root only")
-def test_component_map_equals_ancestor_closure():
+def test_component_map_sends_members_to_their_root():
+    # g_hook_op holds the root only, not the full ancestor closure:
+    # h sits below g, yet maps straight to f
     s = machine_nested_state()
     anc = ancestor_map(nested_tree())
-    assert {m: set(a) for m, a in anc.items() if a} == {
-        m: {s.g_hook_op[m]} for m in s.g_hook_op
-    }
+    assert s.g_hook_op == {"g": "f", "h": "f"}
+    for member, root in s.g_hook_op.items():
+        assert root in anc[member]
+
+
+# One corruption of the worked example per mismatch class, each pinned to
+# the exact messages compare_with_flat reports.
+PINNED_MISMATCHES = {
+    "root": (
+        lambda s: s,
+        lambda: graft(elementary("x", 4), 2, elementary("g", 3)),
+        ["root: machine says 'f', tree says 'x'"],
+    ),
+    "foliage": (
+        lambda s: replace(s, foliage=s.foliage | {(9, "f")}),
+        nested_tree,
+        ["foliage: machine (1, 2, 3, 4, 5, 6, 7, 8, 9) != tree (1, 2, 3, 4, 5, 6, 7, 8)"],
+    ),
+    "members": (
+        lambda s: replace(s, g_hook_op={**s.g_hook_op, "k": "f"}),
+        nested_tree,
+        ["members: machine ['f', 'g', 'h', 'k'] != tree ['f', 'g', 'h']"],
+    ),
+    "in": (
+        lambda s: replace(s, in_op={**s.in_op, "g": frozenset({2, 3, 4})}),
+        nested_tree,
+        [
+            "in: machine {'f': frozenset({8, 1, 7}), 'g': frozenset({2, 3, 4}), "
+            "'h': frozenset({4, 5, 6})} != tree {'f': frozenset({8, 1, 7}), "
+            "'g': frozenset({2, 3}), 'h': frozenset({4, 5, 6})}"
+        ],
+    ),
+    "hat": (
+        lambda s: replace(s, g_hat_op={**s.g_hat_op, (5, "f"): "g"}),
+        nested_tree,
+        [
+            "hat: machine {2: 'g', 3: 'g', 4: 'h', 1: 'f', 5: 'g', 6: 'h', 7: 'f', 8: 'f'} "
+            "!= tree {1: 'f', 2: 'g', 3: 'g', 4: 'h', 5: 'h', 6: 'h', 7: 'f', 8: 'f'}"
+        ],
+    ),
+    "hook": (
+        lambda s: replace(s, hook_op={**s.hook_op, "h": "f"}),
+        nested_tree,
+        ["hook: machine {'g': 'f', 'h': 'f'} != tree {'g': 'f', 'h': 'g'}"],
+    ),
+    "arity": (
+        lambda s: replace(s, arity_op={**s.arity_op, "g": 2}),
+        nested_tree,
+        ["arity: machine says 'g' has 2, tree says 3"],
+    ),
+    # a member hooked to a non-root drops out of the root's component
+    "ghook": (
+        lambda s: replace(s, g_hook_op={"g": "f", "h": "g"}),
+        nested_tree,
+        ["members: machine ['f', 'g'] != tree ['f', 'g', 'h']"],
+    ),
+    "out": (
+        lambda s: replace(s, out_op={**s.out_op, "f": frozenset({1, 2}), "h": frozenset({1})}),
+        nested_tree,
+        [
+            "out: root 'f' has outputs frozenset({1, 2}), expected {1}",
+            "out: grafted member 'h' still has outputs",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_MISMATCHES))
+def test_comparison_messages_are_pinned(case):
+    mutate, tree, expected = PINNED_MISMATCHES[case]
+    assert compare_with_flat(mutate(machine_nested_state()), "f", tree()) == expected
+
+
+def test_comparison_rejects_grafted_root():
+    s = machine_nested_state()
+    with pytest.raises(BoundsError):
+        compare_with_flat(replace(s, g_hook_op={**s.g_hook_op, "f": "g"}), "f", nested_tree())
+
+
+def test_comparison_reports_missing_input_entry():
+    s = machine_nested_state()
+    bad = replace(s, in_op={k: v for k, v in s.in_op.items() if k != "g"})
+    assert compare_with_flat(bad, "f", nested_tree()) == [
+        "in: machine {'f': frozenset({8, 1, 7}), 'h': frozenset({4, 5, 6})} != tree "
+        "{'f': frozenset({8, 1, 7}), 'g': frozenset({2, 3}), 'h': frozenset({4, 5, 6})}"
+    ]
+
+
+def test_comparison_reports_missing_arity_entry():
+    s = machine_nested_state()
+    bad = replace(s, arity_op={k: v for k, v in s.arity_op.items() if k != "h"})
+    assert compare_with_flat(bad, "f", nested_tree()) == ["arity: machine says 'h' has None, tree says 3"]
