@@ -189,6 +189,13 @@ def test_eval_bad_fn_syntax(tmp_path, capsys):
     assert "name=carrier:table" in capsys.readouterr().err
 
 
+def test_eval_rejects_non_ascii_digits(tmp_path, capsys):
+    path = tmp_path / "x.op"
+    path.write_text("f:2; g:1; f o_1 g\n")
+    assert main(["eval", str(path), "--fn", "f=2:0110", "--fn", "g=2:1\u00b2"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("command", ["check", "export"])
 def test_plain_dump_mentioning_alphabet_in_a_comment(tmp_path, capsys, command):
     path = tmp_path / "state.dump"

@@ -1,12 +1,16 @@
 """Finite functions X^k -> X, their grafting, and the operad axioms on them."""
 
-import pytest
-from hypothesis import given, strategies as st
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import operadix.endomorphism as endomorphism
 from operadix import (
     BoundsError,
     CarrierMismatch,
     FiniteFn,
+    SweepResult,
     all_functions,
     check_identity_axiom,
     check_parallel_axiom,
@@ -28,6 +32,23 @@ XOR = parse_fn_spec("2:0110")
 NOT = parse_fn_spec("2:10")
 AND = parse_fn_spec("2:0001")
 OR = parse_fn_spec("2:0111")
+BIG = FiniteFn(2, 11, (0,) * 2**11)
+
+
+def reference_circ(f, ii, g):
+    """The pointwise definition of f o_ii g, one __call__ pair per entry."""
+    s, m = f.carrier, g.arity
+    table = []
+    for args in itertools.product(range(s), repeat=f.arity + m - 1):
+        middle = g(*args[ii - 1 : ii - 1 + m])
+        table.append(f(*args[: ii - 1], middle, *args[ii - 1 + m :]))
+    return FiniteFn(s, f.arity + m - 1, tuple(table))
+
+
+def assert_circ_matches_reference(f, ii, g):
+    r = circ(f, ii, g)
+    assert r == reference_circ(f, ii, g)
+    assert FiniteFn(r.carrier, r.arity, r.table) == r
 
 
 def test_call_uses_first_argument_as_most_significant():
@@ -43,11 +64,25 @@ def test_call_uses_first_argument_as_most_significant():
         {"carrier": 2, "arity": 2, "table": (0, 1, 1)},  # wrong length
         {"carrier": 2, "arity": 1, "table": (0, 2)},  # value out of carrier
         {"carrier": 2, "arity": -1, "table": ()},
+        {"carrier": 2, "arity": 1, "table": (0.5, 1)},  # non-integer entry
+        {"carrier": 2, "arity": 1.0, "table": (0, 1)},  # float arity
+        {"carrier": 2.0, "arity": 1, "table": (0, 1)},  # float carrier
+        {"carrier": 2, "arity": 1, "table": (True, False)},  # bools are not carrier values
+        {"carrier": 2, "arity": 1, "table": "01"},  # characters, not integers
+        {"carrier": 2, "arity": 1, "table": None},
     ],
 )
 def test_finite_fn_validation(kwargs):
     with pytest.raises(BoundsError):
         FiniteFn(**kwargs)
+
+
+def test_finite_fn_stores_table_as_tuple():
+    entries = [0, 1]
+    f = FiniteFn(2, 1, entries)
+    entries[0] = 1
+    assert f.table == (0, 1) and f == identity_fn(2)
+    assert hash(f) == hash(identity_fn(2))
 
 
 def test_arity_zero_is_a_value():
@@ -94,6 +129,58 @@ def test_circ_bounds_and_carrier():
         circ(XOR, 0, NOT)
     with pytest.raises(CarrierMismatch):
         circ(XOR, 1, identity_fn(3))
+
+
+@pytest.mark.parametrize(
+    "f, ii, g, error, message",
+    [
+        # the carrier check comes first, even for a constant f or a bad slot
+        (constant_fn(2, 0), 5, identity_fn(3), CarrierMismatch, "carriers differ: 2 vs 3"),
+        (constant_fn(2, 0), 1, NOT, BoundsError, "cannot compose into a constant, it has no slots"),
+        (XOR, 3, NOT, BoundsError, "slot must be in 1..2, got 3"),
+        (XOR, 0, identity_fn(2), BoundsError, "slot must be in 1..2, got 0"),
+        (BIG, 12, BIG, BoundsError, "slot must be in 1..11, got 12"),
+        (BIG, 11, BIG, BoundsError, "result table would need 2097152 entries, cap is 1048576"),
+    ],
+)
+def test_circ_guard_messages(f, ii, g, error, message):
+    with pytest.raises(error) as caught:
+        circ(f, ii, g)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_circ_matches_reference_on_carrier_two():
+    """Every (f, ii, g) with arity(f) <= 2 and arity(g) in 0..3, constants included."""
+    fs = [fn for n in (1, 2) for fn in all_functions(2, n)]
+    gs = [fn for m in range(4) for fn in all_functions(2, m)]
+    for f in fs:
+        for ii in range(1, f.arity + 1):
+            for g in gs:
+                assert_circ_matches_reference(f, ii, g)
+
+
+def test_circ_matches_reference_on_carrier_one():
+    for n in range(1, 5):
+        f = FiniteFn(1, n, (0,))
+        for ii in range(1, n + 1):
+            for m in range(5):
+                assert_circ_matches_reference(f, ii, FiniteFn(1, m, (0,)))
+
+
+@st.composite
+def circ_cases(draw):
+    s = draw(st.integers(3, 4))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    entries = st.integers(0, s - 1)
+    f = FiniteFn(s, n, tuple(draw(st.lists(entries, min_size=s**n, max_size=s**n))))
+    g = FiniteFn(s, m, tuple(draw(st.lists(entries, min_size=s**m, max_size=s**m))))
+    return f, draw(st.integers(1, n)), g
+
+
+@settings(max_examples=60, deadline=None)
+@given(circ_cases())
+def test_circ_matches_reference_on_larger_carriers(case):
+    assert_circ_matches_reference(*case)
 
 
 def test_identity_laws_pointwise():
@@ -149,6 +236,32 @@ def test_sweep_sizes_and_success():
     assert idf.ok and idf.cases == 4
 
 
+@pytest.fixture
+def faulty_circ(monkeypatch):
+    """circ with one planted fault: entry 0 flips for XOR o_2 identity."""
+    real = endomorphism.circ
+
+    def circ_with_fault(f, ii, g):
+        r = real(f, ii, g)
+        if ii == 2 and f.table == XOR.table and g.table == (0, 1):
+            return FiniteFn(r.carrier, r.arity, (1 - r.table[0],) + r.table[1:])
+        return r
+
+    monkeypatch.setattr(endomorphism, "circ", circ_with_fault)
+
+
+@pytest.mark.parametrize(
+    "sweep, expected",
+    [
+        (sweep_sequential, SweepResult(False, 1782, "f=2:10 g=2:0110 h=2:01 ii=1 jj=2")),
+        (sweep_parallel, SweepResult(False, 2402, "f=2:0110 g=2:00 h=2:01 ii=1 kk=2")),
+        (sweep_identity, SweepResult(False, 18, "f=2:0110 ii=2")),
+    ],
+)
+def test_sweep_reports_first_failure(faulty_circ, sweep, expected):
+    assert sweep(2, 2) == expected
+
+
 def test_sweep_guard():
     with pytest.raises(BoundsError):
         sweep_sequential(2, 3)
@@ -167,10 +280,10 @@ def test_carrier_one():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "0110", "2:", "2:012", "2:011", "x:01", "11:0", "2:01 10"],
+    ["", "0110", "2:", "2:012", "2:011", "x:01", "11:0", "2:01 10", "2:1\u00b2", "\u00b2:01", "2:0\u0661"],
 )
 def test_parse_fn_spec_rejects(text):
-    with pytest.raises((BoundsError, CarrierMismatch, ValueError)):
+    with pytest.raises(BoundsError):
         parse_fn_spec(text)
 
 
