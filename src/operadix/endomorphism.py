@@ -61,6 +61,8 @@ class FiniteFn:
             raise BoundsError(f"expected {self.arity} arguments, got {len(args)}")
         index = 0
         for arg in args:
+            if type(arg) is not int:
+                raise BoundsError(f"argument {arg!r} is not an int")
             if not 0 <= arg < self.carrier:
                 raise BoundsError(f"argument {arg} outside carrier 0..{self.carrier - 1}")
             index = index * self.carrier + arg
@@ -197,12 +199,14 @@ def sweep_parallel(carrier: int, max_arity: int) -> SweepResult:
     for f in pool:
         for ii in range(1, f.arity + 1):
             for kk in range(ii + 1, f.arity + 1):
+                fh_all = [circ(f, kk, h) for h in pool]
                 for g in pool:
                     fg = circ(f, ii, g)
-                    for h in pool:
+                    for h, fh in zip(pool, fh_all):
                         cases += 1
                         # check_parallel_axiom with f o_ii g computed once per (f, ii, g)
-                        if circ(fg, kk - 1 + g.arity, h) != circ(circ(f, kk, h), ii, g):
+                        # and f o_kk h once per (f, kk, h)
+                        if circ(fg, kk - 1 + g.arity, h) != circ(fh, ii, g):
                             return SweepResult(
                                 False,
                                 cases,

@@ -21,12 +21,21 @@ rooted at ``op1``:
 Events are pure: they validate guards against the old state and return
 a fresh state.  A rejected event raises GuardFailed carrying the
 guard's label and leaves the old state untouched.
+
+The relations are the only stored truth.  Readers that need the entries
+of one root (compose, the checks, the per-root queries) share a private
+per-root index: foliage positions, hats and grafted members bucketed by
+root.  It is derived from the relations in one pass each, on first use,
+and cached on the state.  A state must therefore never be mutated in
+place: build a new one, with dataclasses.replace if need be, and its
+index is derived afresh.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 from .core import (
     BoundsError,
@@ -61,6 +70,14 @@ class ComposeSeq:
 Event = NewOperad | ComposeSeq
 
 
+class _RootIndex(NamedTuple):
+    """The relations bucketed by root; readers must not mutate it."""
+
+    foliage: dict[OperadId, set[Position]]  # root -> its foliage positions
+    hats: dict[OperadId, dict[Position, OperadId]]  # key root -> {position: owner}
+    members: dict[OperadId, list[OperadId]]  # root -> members grafted below it
+
+
 @dataclass(frozen=True)
 class FlatState:
     config: Config
@@ -72,6 +89,37 @@ class FlatState:
     g_hat_op: dict[tuple[Position, OperadId], OperadId]
     hook_op: dict[OperadId, OperadId]
     g_hook_op: dict[OperadId, OperadId]
+
+    @cached_property
+    def _index(self) -> _RootIndex:
+        """Per-root buckets of foliage, g_hat_op (in its order) and g_hook_op.
+
+        A cached property, not a field: equality, repr, dumps and
+        replace() see only the relations.  Buckets are made on the first
+        entry of each root, not per entry as setdefault would.
+        """
+        foliage: dict[OperadId, set[Position]] = {}
+        for p, oo in self.foliage:
+            bucket = foliage.get(oo)
+            if bucket is None:
+                foliage[oo] = {p}
+            else:
+                bucket.add(p)
+        hats: dict[OperadId, dict[Position, OperadId]] = {}
+        for (p, oo), member in self.g_hat_op.items():
+            row = hats.get(oo)
+            if row is None:
+                hats[oo] = {p: member}
+            else:
+                row[p] = member
+        members: dict[OperadId, list[OperadId]] = {}
+        for oo, root in self.g_hook_op.items():
+            below = members.get(root)
+            if below is None:
+                members[root] = [oo]
+            else:
+                below.append(oo)
+        return _RootIndex(foliage, hats, members)
 
 
 def empty_state(config: Config | None = None) -> FlatState:
@@ -166,20 +214,13 @@ def compose_seq_with_witness(
     if op2 in state.g_hook_op:
         raise GuardFailed("rg24", f"{op2!r} is grafted inside a composite and cannot be grafted again")
 
-    hooked1 = frozenset({op1} | {oo for oo, root in state.g_hook_op.items() if root == op1})
-    hooked2 = frozenset({op2} | {oo for oo, root in state.g_hook_op.items() if root == op2})
-    foliage1 = frozenset(p for p, oo in state.foliage if oo == op1)
-    foliage2 = frozenset(p for p, oo in state.foliage if oo == op2)
-    hat1 = {
-        p: member
-        for (p, oo), member in state.g_hat_op.items()
-        if oo == op1 and p in foliage1
-    }
-    hat2 = {
-        p: member
-        for (p, oo), member in state.g_hat_op.items()
-        if oo == op2 and p in foliage2
-    }
+    index = state._index
+    hooked1 = frozenset([op1, *index.members.get(op1, ())])
+    hooked2 = frozenset([op2, *index.members.get(op2, ())])
+    foliage1 = frozenset(index.foliage.get(op1, ()))
+    foliage2 = frozenset(index.foliage.get(op2, ()))
+    hat1 = {p: member for p, member in index.hats.get(op1, {}).items() if p in foliage1}
+    hat2 = {p: member for p, member in index.hats.get(op2, {}).items() if p in foliage2}
     if ii not in hat1:
         raise GuardFailed("rg72", f"position {ii} is not an open slot of the composite rooted at {op1!r}")
     hat_op_ii = hat1[ii]
@@ -234,20 +275,28 @@ def compose_seq_with_witness(
         shifted_op2_inputs=shifted_op2_inputs,
     )
 
-    # Hat entries whose value is op1 or op2 are purged before the rebuilt
-    # component is merged back in under op1's key.
-    new_g_hat = {key: m for key, m in state.g_hat_op.items() if m not in (op1, op2)}
+    # Hat entries owned by op1 or op2, and every entry keyed to op2's
+    # former root role, are purged before the rebuilt component is merged
+    # back in under op1's key.
+    new_g_hat = {
+        key: m for key, m in state.g_hat_op.items() if m not in (op1, op2) and key[1] != op2
+    }
     new_g_hat.update(rebuilt_hats)
+    out_op = dict(state.out_op)
+    out_op.pop(op2, None)
 
-    new_state = replace(
-        state,
-        foliage=frozenset((p, oo) for p, oo in state.foliage if oo not in (op1, op2))
-        | frozenset((p, op1) for p in range(1, cardfol1 + cardfol2)),
-        out_op={oo: outs for oo, outs in state.out_op.items() if oo != op2},
+    new_state = FlatState(
+        config=state.config,
+        my_operads=state.my_operads,
+        arity_op=state.arity_op,
+        foliage=state.foliage.difference(
+            [(p, op1) for p in foliage1], [(p, op2) for p in foliage2]
+        ).union([(p, op1) for p in range(1, cardfol1 + cardfol2)]),
+        out_op=out_op,
         in_op={**state.in_op, **merged_inputs, **shifted_op2_inputs},
         g_hat_op=new_g_hat,
         hook_op={**state.hook_op, op2: hat_op_ii},
-        g_hook_op={**state.g_hook_op, **{oo: op1 for oo in hooked2}},
+        g_hook_op={**state.g_hook_op, **dict.fromkeys(hooked2, op1)},
     )
     return new_state, witness
 
@@ -280,12 +329,12 @@ def _require_root(state: FlatState, root: OperadId) -> None:
 def component_of(state: FlatState, root: OperadId) -> frozenset[OperadId]:
     """The root together with every member grafted below it."""
     _require_root(state, root)
-    return frozenset({root} | {oo for oo, rr in state.g_hook_op.items() if rr == root})
+    return frozenset([root, *state._index.members.get(root, ())])
 
 
 def foliage_of(state: FlatState, root: OperadId) -> tuple[Position, ...]:
     _require_root(state, root)
-    return tuple(sorted([p for p, oo in state.foliage if oo == root]))
+    return tuple(sorted(state._index.foliage.get(root, ())))
 
 
 def result_arity(n: int, m: int) -> int:
@@ -302,8 +351,9 @@ def result_arity(n: int, m: int) -> int:
 
 
 def hat_map_of(state: FlatState, root: OperadId) -> dict[Position, OperadId]:
+    """The hats keyed to root, in g_hat_op order; a copy the caller may keep."""
     _require_root(state, root)
-    return {p: m for (p, oo), m in state.g_hat_op.items() if oo == root}
+    return dict(state._index.hats.get(root, {}))
 
 
 def in_map_of(state: FlatState, root: OperadId) -> dict[OperadId, frozenset[Position]]:
@@ -345,35 +395,28 @@ def check_invariants(state: FlatState) -> list[str]:
       SP3  a member with children has one input lost per direct child:
            card(in_op) = arity - number of direct children
 
-    Cost: O(state).  foliage, the g_hat_op keys and g_hook_op are each
-    bucketed by root in one pass; every other test is set algebra or
-    one pass over a relation.
+    Cost: O(state).  The per-root index of the state (one pass each
+    over foliage, g_hat_op and g_hook_op, shared with compose and the
+    per-root queries) supplies every per-root bucket; every other test
+    is set algebra or one pass over a relation.
     """
     cfg = state.config
     bad: list[str] = []
     ops = state.my_operads
+    index = state._index
 
     def in_range(ps, top: int) -> bool:
         return not ps or (min(ps) >= 1 and max(ps) <= top)
 
-    foliage_by_root: defaultdict[OperadId, set[Position]] = defaultdict(set)
-    for p, oo in state.foliage:
-        foliage_by_root[oo].add(p)
-    hat_keys_by_root: defaultdict[OperadId, set[Position]] = defaultdict(set)
-    for p, oo in state.g_hat_op:
-        hat_keys_by_root[oo].add(p)
-    members_by_root: defaultdict[OperadId, list[OperadId]] = defaultdict(list)
-    for oo, root in state.g_hook_op.items():
-        members_by_root[root].append(oo)
+    def positions_in_range(pairs, top: int) -> bool:
+        # (position, root) pairs order by position first
+        return not pairs or (min(pairs)[0] >= 1 and max(pairs)[0] <= top)
 
     if not all(map(is_operad_id, ops)):
         bad.append("inv10")
     if not (ops.issuperset(state.arity_op) and in_range(state.arity_op.values(), cfg.max_fol)):
         bad.append("inv30")
-    if not (
-        ops.issuperset(foliage_by_root)
-        and all(in_range(ps, cfg.max_fol) for ps in foliage_by_root.values())
-    ):
+    if not (ops.issuperset(index.foliage) and positions_in_range(state.foliage, cfg.max_fol)):
         bad.append("inv40")
     if not (
         ops.issuperset(state.out_op)
@@ -386,16 +429,16 @@ def check_invariants(state: FlatState) -> list[str]:
     ):
         bad.append("invr10")
     if not (
-        ops.issuperset(hat_keys_by_root)
+        ops.issuperset(index.hats)
         and ops.issuperset(state.g_hat_op.values())
-        and all(in_range(ps, cfg.max_fol) for ps in hat_keys_by_root.values())
+        and positions_in_range(state.g_hat_op.keys(), cfg.max_fol)
     ):
         bad.append("invr20")
     if not (ops.issuperset(state.hook_op) and ops.issuperset(state.hook_op.values())):
         bad.append("invr30")
     if not state.out_op.keys().isdisjoint(state.hook_op):
         bad.append("invr34")
-    if not (ops.issuperset(state.g_hook_op) and ops.issuperset(members_by_root)):
+    if not (ops.issuperset(state.g_hook_op) and ops.issuperset(index.members)):
         bad.append("invr40")
     if not all(
         len(ins) <= state.arity_op[op]
@@ -408,8 +451,8 @@ def check_invariants(state: FlatState) -> list[str]:
     # operads, own foliage and have an input set
     roots_checked = [
         op
-        for op in members_by_root
-        if op in ops and op in foliage_by_root and op in state.in_op
+        for op in index.members
+        if op in ops and op in index.foliage and op in state.in_op
     ]
 
     hat_values = set(state.g_hat_op.values())
@@ -417,18 +460,18 @@ def check_invariants(state: FlatState) -> list[str]:
         if (
             op in hat_values
             and op not in state.g_hook_op
-            and hat_keys_by_root.get(op, set()) | state.in_op[op] != foliage_by_root[op]
+            and index.hats.get(op, {}).keys() | state.in_op[op] != index.foliage[op]
         ):
             bad.append("SP1")
             break
 
     for op in roots_checked:
         covered = set(state.in_op[op])
-        for oo in members_by_root[op]:
+        for oo in index.members[op]:
             ins = state.in_op.get(oo)
             if ins is not None and in_range(ins, cfg.max_fol):
                 covered |= ins
-        if covered != foliage_by_root[op]:
+        if covered != index.foliage[op]:
             bad.append("SP2")
             break
 
@@ -453,10 +496,11 @@ def composition_law_violations(state: FlatState, witness: ComposeWitness) -> lis
                    count of the composite
     """
     labels: list[str] = []
-    fol = sorted(p for p, oo in state.foliage if oo == witness.op1)
+    index = state._index
+    fol = sorted(index.foliage.get(witness.op1, ()))
     if fol != list(range(1, witness.cardfol1 + witness.cardfol2)):
         labels.append("law-size")
-    members = {witness.op1} | {oo for oo, root in state.g_hook_op.items() if root == witness.op1}
+    members = {witness.op1, *index.members.get(witness.op1, ())}
     arity_sum = sum(state.arity_op[m] for m in members)
     if arity_sum - (len(members) - 1) != len(fol):
         labels.append("law-arity-sum")

@@ -12,6 +12,7 @@ and no state representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import BoundsError, OperadError, OperadId, Position
 from .flat_machine import FlatState, component_of, foliage_of, hat_map_of
@@ -40,6 +41,15 @@ class TreeOperad:
         for child in self.children:
             if not isinstance(child, (Leaf, TreeOperad)):
                 raise BoundsError(f"bad child {child!r} under {self.label!r}")
+
+    @cached_property
+    def _walked(self) -> tuple[FlatView, dict[OperadId, int]]:
+        """_walk of this tree, done once: the tree is immutable.
+
+        Shared by every comparison against this tree; callers must not
+        mutate it.
+        """
+        return _walk(self)
 
 
 def elementary(label: OperadId, arity: int) -> TreeOperad:
@@ -172,12 +182,14 @@ def compare_with_flat(state: FlatState, root: OperadId, tree: TreeOperad) -> lis
     with no in_op or arity_op entry shows up as an in or arity
     mismatch.
 
-    Cost: one walk of the tree, one scan each of foliage, g_hat_op and
-    g_hook_op, and one lookup per member in in_op, hook_op, arity_op
-    and out_op, so O(tree + state).
+    Cost: O(component).  The tree is walked once in its lifetime (the
+    walk is cached on it), the machine side is read through the
+    state's per-root index, and each member costs one lookup in in_op,
+    hook_op, arity_op and out_op.  The index itself is built once per
+    state, in O(state), and shared by every root compared against it.
     """
     problems: list[str] = []
-    view, arities = _walk(tree)
+    view, arities = tree._walked
 
     if tree.label != root:
         problems.append(f"root: machine says {root!r}, tree says {tree.label!r}")

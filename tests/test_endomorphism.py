@@ -96,6 +96,12 @@ def test_identity_fn():
     assert [ident(x) for x in range(3)] == [0, 1, 2]
 
 
+@pytest.mark.parametrize("arg", [True, 1.0])  # a bool is not a carrier value
+def test_call_rejects_non_int_arguments(arg):
+    with pytest.raises(BoundsError, match="is not an int"):
+        identity_fn(2)(arg)
+
+
 def test_circ_xor_with_not_in_first_slot():
     assert circ(XOR, 1, NOT) == parse_fn_spec("2:1001")  # XNOR
 

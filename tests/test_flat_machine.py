@@ -24,6 +24,8 @@ from operadix import (
     hook_map_of,
     in_map_of,
     new_operad,
+    parse_trace,
+    replay,
     result_arity,
     roots,
 )
@@ -241,6 +243,33 @@ def test_roots_and_component(nested_triple):
         component_of(s, "g")  # grafted, not a root
     with pytest.raises(BoundsError):
         foliage_of(s, "zz")
+
+
+def test_compose_drops_hats_keyed_to_the_grafted_root():
+    # g is a composite when it is grafted: no (p, g) key may outlive that
+    s = replay(parse_trace("new f 2 1\nnew g 2 1\nnew h 2 1\ncompose g 1 h\ncompose f 1 g\n"))
+    assert [key for key in s.g_hat_op if key[1] == "g"] == []
+    assert set(s.g_hat_op) == {(p, "f") for p in foliage_of(s, "f")}
+
+
+def test_replace_derives_a_fresh_index(quadratic_pair):
+    s = quadratic_pair
+    assert foliage_of(s, "f") == (1, 2, 3, 4, 5)  # the index of s is now built
+    assert replace(s) == s and "_index" not in repr(s)
+    shrunk = replace(
+        s, foliage=frozenset({(1, "f"), (2, "f")}), g_hat_op={(1, "f"): "f"}, g_hook_op={}
+    )
+    assert foliage_of(shrunk, "f") == (1, 2)
+    assert hat_map_of(shrunk, "f") == {1: "f"}
+    assert component_of(shrunk, "f") == {"f"}
+    assert foliage_of(s, "f") == (1, 2, 3, 4, 5)
+
+
+def test_hat_map_of_returns_a_copy(quadratic_pair):
+    hats = hat_map_of(quadratic_pair, "f")
+    hats[1] = "zz"
+    del hats[2]
+    assert hat_map_of(quadratic_pair, "f") == {1: "f", 2: "g", 3: "g", 4: "f", 5: "f"}
 
 
 def test_result_arity():

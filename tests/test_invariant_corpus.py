@@ -1,4 +1,4 @@
-"""Golden corpus for check_invariants, plus a property over event traces.
+"""Golden corpus for check_invariants, plus properties over event traces.
 
 The corpus is built from states that seeded simulator runs reach at the
 default bounds.  Each case applies one seeded mutation to one relation
@@ -6,7 +6,12 @@ of such a state; the data file records the mutation and the labels the
 checker gave.  The generator iterates no unordered container, so the
 cases are the same on every run.
 
-Regenerate the data file only when a label is meant to change:
+The same traces and mutations also check the per-root queries, which
+read the state's per-root index, against scan-based reference
+definitions kept here.
+
+Regenerate the data file only when a label or a reachable state is
+meant to change:
 
     PYTHONPATH=src python tests/test_invariant_corpus.py
 """
@@ -21,6 +26,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from operadix import (
+    BoundsError,
     ComposeSeq,
     GuardFailed,
     NewOperad,
@@ -29,9 +35,14 @@ from operadix import (
     apply_event,
     check_invariants,
     compare_with_flat,
+    component_of,
     elementary,
     empty_state,
+    foliage_of,
     graft,
+    hat_map_of,
+    hook_map_of,
+    in_map_of,
     leaf_count,
     run,
 )
@@ -110,12 +121,16 @@ def mutate(state, rng: random.Random):
     return replace(state, **{name: {**rel, key: value}}), f"{name} set {key!r} {shown!r}"
 
 
-def corpus_cases():
+def corpus_mutations():
     rng = random.Random(20251216)
     for state in reachable_states():
         for _ in range(MUTATIONS_PER_STATE):
-            bad, description = mutate(state, rng)
-            yield description, check_invariants(bad)
+            yield mutate(state, rng)
+
+
+def corpus_cases():
+    for bad, description in corpus_mutations():
+        yield description, check_invariants(bad)
 
 
 def test_checker_matches_golden_corpus():
@@ -139,9 +154,8 @@ event_plans = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(plan=event_plans)
-def test_event_traces_stay_clean(plan):
+def plan_states(plan):
+    """The state and the mirror trees after each event of plan that fires."""
     state = empty_state()
     mirrors = {}
     for serial, (create, arity, a, b, slot) in enumerate(plan):
@@ -161,9 +175,86 @@ def test_event_traces_stay_clean(plan):
         else:
             grafted = mirrors.pop(event.op2)
             mirrors[event.op1] = graft(mirrors[event.op1], event.pos, grafted)
+        yield state, mirrors
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan=event_plans)
+def test_event_traces_stay_clean(plan):
+    for state, mirrors in plan_states(plan):
         assert check_invariants(state) == []
         for root in sorted(mirrors):
             assert compare_with_flat(state, root, mirrors[root]) == []
+
+
+# Scan-based reference definitions of the per-root queries: each reads
+# whole relations and shares no code with the per-root index.
+
+
+def ref_require_root(state, root):
+    if root not in state.my_operads or root in state.g_hook_op:
+        raise BoundsError(f"{root!r} is not a root")
+
+
+def ref_component_of(state, root):
+    ref_require_root(state, root)
+    return frozenset({root} | {oo for oo, rr in state.g_hook_op.items() if rr == root})
+
+
+def ref_foliage_of(state, root):
+    ref_require_root(state, root)
+    return tuple(sorted(p for p, oo in state.foliage if oo == root))
+
+
+def ref_hat_map_of(state, root):
+    ref_require_root(state, root)
+    return {p: m for (p, oo), m in state.g_hat_op.items() if oo == root}
+
+
+def ref_in_map_of(state, root):
+    return {oo: state.in_op[oo] for oo in sorted(ref_component_of(state, root))}
+
+
+def ref_hook_map_of(state, root):
+    members = ref_component_of(state, root)
+    return {oo: state.hook_op[oo] for oo in sorted(members) if oo in state.hook_op}
+
+
+QUERY_PAIRS = (
+    (component_of, ref_component_of),
+    (foliage_of, ref_foliage_of),
+    (hat_map_of, ref_hat_map_of),
+    (in_map_of, ref_in_map_of),
+    (hook_map_of, ref_hook_map_of),
+)
+
+
+def outcome(query, state, root):
+    """The query's result, or the type of the error it raised."""
+    try:
+        result = query(state, root)
+    except (BoundsError, KeyError) as exc:
+        return type(exc)
+    # dict equality ignores order, and hat_map_of promises g_hat_op order
+    return list(result.items()) if isinstance(result, dict) else result
+
+
+def assert_queries_match_scans(state):
+    for root in sorted(state.my_operads | {"zz"}):
+        for query, reference in QUERY_PAIRS:
+            assert outcome(query, state, root) == outcome(reference, state, root), (query, root)
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan=event_plans)
+def test_root_queries_match_scans_along_traces(plan):
+    for state, _ in plan_states(plan):
+        assert_queries_match_scans(state)
+
+
+def test_root_queries_match_scans_on_corpus_mutations():
+    for bad, _ in corpus_mutations():
+        assert_queries_match_scans(bad)
 
 
 if __name__ == "__main__":
