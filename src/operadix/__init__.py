@@ -18,9 +18,7 @@ from .core import (
     OverflowFoliage,
     ParseError,
     StateFormatError,
-    default_config,
     load_config,
-    seq_n,
 )
 from .decoration import (
     DecoratedState,
@@ -43,7 +41,6 @@ from .endomorphism import (
     check_parallel_axiom,
     check_sequential_axiom,
     circ,
-    circ_const,
     constant_fn,
     format_fn,
     identity_fn,
@@ -58,7 +55,6 @@ from .flat_machine import (
     ComposeSeq,
     ComposeWitness,
     FlatState,
-    INVARIANT_LABELS,
     NewOperad,
     apply_event,
     check_invariants,
@@ -72,7 +68,6 @@ from .flat_machine import (
     hook_map_of,
     in_map_of,
     new_operad,
-    result_arity,
     roots,
 )
 from .serialize import dump_state, load_state, state_to_json

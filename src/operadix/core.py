@@ -116,19 +116,6 @@ class Config:
             )
 
 
-def default_config() -> Config:
-    return Config()
-
-
-def seq_n(nn: int, bound: int | None = None) -> tuple[int, ...]:
-    """The positions 1..nn, optionally checked against an upper bound."""
-    if nn < 1:
-        raise BoundsError(f"seq_n takes a positive length, got {nn}")
-    if bound is not None and nn > bound:
-        raise BoundsError(f"seq_n length {nn} exceeds bound {bound}")
-    return tuple(range(1, nn + 1))
-
-
 _CONFIG_KEYS = ("max_args", "max_out", "max_oprd", "max_fol")
 
 # config files may also declare a decoration alphabet; the bounds

@@ -4,8 +4,9 @@ The decorated state wraps a plain machine state and adds one symbol
 per open slot, drawn from a fixed alphabet, plus one symbol for each
 root's output.  The binding contract is that the decorated slot map of
 every operad has exactly the slots of the base state as its domain.
-Decorations ride along through composition using the same relabelling
-arithmetic that the base witness records, so erasing the decorations
+Decorations ride along through composition, relabelled by the base
+witness's moved(), the one rule that also moves the base slots, so
+erasing the decorations
 of any reachable decorated state gives back exactly the base state of
 the same event sequence.
 
@@ -78,16 +79,11 @@ def new_operad_x(
 ) -> DecoratedState:
     """Create an operad together with its slot decorations.
 
-    Base guards run first.  Decorated creation additionally caps the
-    arity at max_args so that the default decoration, the first
-    ``arity`` alphabet symbols in order, always exists.
+    Base guards run first.  Their g4 caps the arity at max_args, so
+    the default decoration, the first ``arity`` alphabet symbols in
+    order, always exists.
     """
     base = new_operad(state.base, op_id, arity, outs)
-    if arity > state.base.config.max_args:
-        raise GuardFailed(
-            "decor-arity",
-            f"decorated operads take at most max_args = {state.base.config.max_args} slots, got {arity}",
-        )
     if decor is None:
         decor = {p: state.alphabet[p - 1] for p in range(1, arity + 1)}
     if set(decor) != set(range(1, arity + 1)):
@@ -112,22 +108,16 @@ def new_operad_x(
 def compose_seq_x(state: DecoratedState, op1: OperadId, ii: Position, op2: OperadId) -> DecoratedState:
     """Graft op2 into slot ii of op1, transporting decorations.
 
-    Slots keep their symbols while their labels move by the same
-    shifts the base machine applies; the symbol of the grafting slot
-    itself is consumed.
+    Slots keep their symbols while the witness's moved() relabels
+    them, exactly as it relabels the base input sets; the symbol of
+    the grafting slot itself is consumed.
     """
     base, witness = compose_seq_with_witness(state.base, op1, ii, op2)
-    shift = witness.cardfol2 - 1
     new_in_x = dict(state.in_op_x)
     for member in witness.hooked_in_op1:
-        old = state.in_op_x.get(member, {})
-        new_in_x[member] = {
-            **{p: s for p, s in old.items() if p < ii},
-            **{p + shift: s for p, s in old.items() if p > ii},
-        }
+        new_in_x[member] = witness.moved(state.in_op_x.get(member, {}), {})
     for member in witness.hooked_in_op2:
-        old = state.in_op_x.get(member, {})
-        new_in_x[member] = {p + ii - 1: s for p, s in old.items()}
+        new_in_x[member] = witness.moved({}, state.in_op_x.get(member, {}))
     return replace(
         state,
         base=base,

@@ -113,11 +113,6 @@ def circ(f: FiniteFn, ii: int, g: FiniteFn) -> FiniteFn:
     return FiniteFn._trusted(s, result_arity, tuple(table))
 
 
-def circ_const(f: FiniteFn, ii: int, value: int) -> FiniteFn:
-    """Fix slot ii of f to a carrier value; the result has arity n - 1."""
-    return circ(f, ii, constant_fn(f.carrier, value))
-
-
 def check_sequential_axiom(f: FiniteFn, g: FiniteFn, h: FiniteFn, ii: int, jj: int) -> bool:
     """(f o_ii g) o_(ii-1+jj) h  ==  f o_ii (g o_jj h)."""
     return circ(circ(f, ii, g), ii - 1 + jj, h) == circ(f, ii, circ(g, jj, h))

@@ -12,7 +12,10 @@ is left associative, parentheses group, ``#`` comments run to the end
 of the line.  Identifiers start with a letter or underscore; the forms
 ``o_`` and ``o_<digits>`` are reserved for the operator.
 
-Parsing checks shape only.  Elaboration turns the tree into the event
+Parsing checks shape only, and caps nesting: parentheses or
+compositions nested deeper than MAX_DEPTH are rejected, so that the
+recursive walks over a parsed tree (elaboration, printing, evaluation)
+stay within Python's stack.  Elaboration turns the tree into the event
 sequence that builds it on the grafting machine, checking slot bounds
 and single use of each atom along the way.
 """
@@ -22,12 +25,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import Config, ElaborationError, ParseError, default_config
+from .core import Config, ElaborationError, ParseError
 from .flat_machine import ComposeSeq, Event, NewOperad
 
 _COMPOSE_RE = re.compile(r"o_\d+\Z")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"\d+")
+
+MAX_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -136,7 +141,7 @@ class _Parser:
         decls: list[Declaration] = []
         while self.peek().kind == "id" and self.peek(1).kind == "colon":
             decls.append(self.parse_decl())
-        expr = self.parse_expr()
+        expr, _ = self.parse_expr(0)
         tok = self.peek()
         if tok.kind != "eof":
             raise ParseError(f"unexpected {tok.value!r} after expression", tok.line, tok.col)
@@ -156,8 +161,9 @@ class _Parser:
         self.declared[name] = arity
         return Declaration(name, arity)
 
-    def parse_expr(self) -> ComposeExpr:
-        node = self.parse_term()
+    def parse_expr(self, parens: int) -> tuple[ComposeExpr, int]:
+        """The expression and its height, the compositions on its longest path."""
+        node, height = self.parse_term(parens)
         while self.peek().kind in ("compose", "at"):
             tok = self.peek()
             self.pos += 1
@@ -165,23 +171,28 @@ class _Parser:
                 slot = int(tok.value)
             else:
                 slot = int(self.take("int", "slot number").value)
-            right = self.parse_term()
+            right, right_height = self.parse_term(parens)
+            height = 1 + max(height, right_height)
+            if height > MAX_DEPTH:
+                raise ParseError(f"compositions nest deeper than {MAX_DEPTH}", tok.line, tok.col)
             node = Compose(node, slot, right)
-        return node
+        return node, height
 
-    def parse_term(self) -> ComposeExpr:
+    def parse_term(self, parens: int) -> tuple[ComposeExpr, int]:
         tok = self.peek()
         if tok.kind == "id":
             name = str(tok.value)
             if name not in self.declared:
                 raise ParseError(f"undeclared operad {name!r}", tok.line, tok.col)
             self.pos += 1
-            return Atom(name)
+            return Atom(name), 0
         if tok.kind == "lparen":
+            if parens == MAX_DEPTH:
+                raise ParseError(f"parentheses nest deeper than {MAX_DEPTH}", tok.line, tok.col)
             self.pos += 1
-            node = self.parse_expr()
+            term = self.parse_expr(parens + 1)
             self.take("rparen", "')'")
-            return node
+            return term
         if tok.kind == "eof":
             raise ParseError("expected an expression, got end of input", tok.line, tok.col)
         raise ParseError(f"expected an operad name or '(', got {tok.value!r}", tok.line, tok.col)
@@ -216,7 +227,9 @@ def elaborate(
     expression, mirroring that an operad can be grafted only once.
     """
     arities = {d.name: d.arity for d in decls}
-    cfg = config if config is not None else default_config()
+    cfg = config if config is not None else Config()
+    if len(decls) > cfg.max_oprd:
+        raise ElaborationError(f"{len(decls)} declarations exceed max_oprd = {cfg.max_oprd}")
     for decl in decls:
         if decl.arity > cfg.max_args:
             raise ElaborationError(

@@ -4,7 +4,10 @@ A composite operad is not stored as a tree.  The state keeps flat
 relations indexed by operad identifiers and 1-based positions, and the
 two events (create, compose) rewrite those relations wholesale.  The
 open slots of a composite always carry the contiguous labels 1..n where
-n is its arity; grafting renumbers every affected label.
+n is its arity; grafting renumbers every affected label.  That
+relabelling rule is written once, in ComposeWitness.moved: compose
+applies it to hats and input sets, and the decoration layer to the
+symbols on the slots.
 
 Vocabulary, with ``op2`` grafted into slot ``ii`` of the composite
 rooted at ``op1``:
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
 from .core import (
     BoundsError,
@@ -45,8 +48,9 @@ from .core import (
     OverflowFoliage,
     Position,
     is_operad_id,
-    seq_n,
 )
+
+V = TypeVar("V")
 
 
 @dataclass(frozen=True)
@@ -139,8 +143,8 @@ def empty_state(config: Config | None = None) -> FlatState:
 def new_operad(state: FlatState, op_id: OperadId, arity: int, outs: int = 1) -> FlatState:
     """Add an elementary operad with slots 1..arity, all open.
 
-    The outs argument is bounds-checked, but every operad gets the
-    single output {1} regardless: multiple outputs are out of scope.
+    The outs argument is bounds-checked against max_out, which Config
+    pins to 1: every operad gets the single output {1}.
     """
     cfg = state.config
     if not is_operad_id(op_id):
@@ -149,16 +153,16 @@ def new_operad(state: FlatState, op_id: OperadId, arity: int, outs: int = 1) -> 
         raise GuardFailed("g1", f"operad count is at the max_oprd bound {cfg.max_oprd}")
     if op_id in state.my_operads:
         raise GuardFailed("g3", f"operad {op_id!r} already exists")
-    if not 1 <= arity <= cfg.max_fol:
-        raise GuardFailed("g4", f"arity must be in 1..{cfg.max_fol}, got {arity}")
-    if not 1 <= outs <= cfg.max_args:
-        raise GuardFailed("g6", f"output count must be in 1..{cfg.max_args}, got {outs}")
+    if not 1 <= arity <= cfg.max_args:
+        raise GuardFailed("g4", f"arity must be in 1..{cfg.max_args}, got {arity}")
+    if not 1 <= outs <= cfg.max_out:
+        raise GuardFailed("g6", f"output count must be in 1..{cfg.max_out}, got {outs}")
     if len(state.foliage) + arity > cfg.max_fol:
         raise GuardFailed(
             "g28",
             f"foliage would grow to {len(state.foliage) + arity}, past max_fol = {cfg.max_fol}",
         )
-    positions = seq_n(arity)
+    positions = range(1, arity + 1)
     return replace(
         state,
         my_operads=state.my_operads | {op_id},
@@ -172,31 +176,34 @@ def new_operad(state: FlatState, op_id: OperadId, arity: int, outs: int = 1) -> 
 
 @dataclass(frozen=True)
 class ComposeWitness:
-    """Every intermediate of one grafting step, for audit and transport.
-
-    The relabelling rule: positions of op1's composite below ii keep
-    their labels, ii itself disappears, positions above ii shift up by
-    cardfol2 - 1, and op2's positions land on ii..ii+cardfol2-1.
-    """
+    """What one grafting step did, for the law checks and for transport."""
 
     op1: OperadId
     op2: OperadId
     ii: Position
-    hat_op_ii: OperadId
-    foliage1: frozenset[Position]
-    foliage2: frozenset[Position]
     cardfol1: int
     cardfol2: int
     hooked_in_op1: frozenset[OperadId]
     hooked_in_op2: frozenset[OperadId]
-    low_hats: dict[Position, OperadId]
-    shifted_high_hats: dict[Position, OperadId]
-    shifted_op2_hats: dict[Position, OperadId]
-    rebuilt_hats: dict[tuple[Position, OperadId], OperadId]
-    low_inputs: dict[OperadId, frozenset[Position]]
-    shifted_high_inputs: dict[OperadId, frozenset[Position]]
-    merged_inputs: dict[OperadId, frozenset[Position]]
-    shifted_op2_inputs: dict[OperadId, frozenset[Position]]
+
+    def moved(self, outer: dict[Position, V], grafted: dict[Position, V]) -> dict[Position, V]:
+        """The relabelling rule, and the only place it is written.
+
+        outer is a slot map of op1's side, grafted one of op2's side.
+        Slots of outer below ii keep their labels, ii disappears, and
+        those above ii shift up by cardfol2 - 1; slots of grafted land
+        on ii..ii+cardfol2-1.  The result lists outer's low slots, then
+        grafted's, then outer's high slots, each in the order given.
+        """
+        ii = self.ii
+        lifted = {p + ii - 1: v for p, v in grafted.items()}
+        if not outer:
+            return lifted
+        shift = self.cardfol2 - 1
+        relabelled = {p: v for p, v in outer.items() if p < ii}
+        relabelled.update(lifted)
+        relabelled.update({p + shift: v for p, v in outer.items() if p > ii})
+        return relabelled
 
 
 def compose_seq_with_witness(
@@ -217,8 +224,8 @@ def compose_seq_with_witness(
     index = state._index
     hooked1 = frozenset([op1, *index.members.get(op1, ())])
     hooked2 = frozenset([op2, *index.members.get(op2, ())])
-    foliage1 = frozenset(index.foliage.get(op1, ()))
-    foliage2 = frozenset(index.foliage.get(op2, ()))
+    foliage1 = index.foliage.get(op1, set())
+    foliage2 = index.foliage.get(op2, set())
     hat1 = {p: member for p, member in index.hats.get(op1, {}).items() if p in foliage1}
     hat2 = {p: member for p, member in index.hats.get(op2, {}).items() if p in foliage2}
     if ii not in hat1:
@@ -237,43 +244,16 @@ def compose_seq_with_witness(
         raise OverflowFoliage(
             f"composite would need {cardfol1 + cardfol2 - 1} positions, max_fol is {state.config.max_fol}"
         )
+    witness = ComposeWitness(op1, op2, ii, cardfol1, cardfol2, hooked1, hooked2)
 
-    shift = cardfol2 - 1
-    low_hats = {p: m for p, m in hat1.items() if p < ii}
-    shifted_high_hats = {p + shift: m for p, m in hat1.items() if p > ii}
-    shifted_op2_hats = {p + ii - 1: m for p, m in hat2.items()}
-    rebuilt_hats = {
-        (p, op1): m
-        for p, m in {**low_hats, **shifted_op2_hats, **shifted_high_hats}.items()
-    }
-
-    low_inputs = {oo: frozenset(p for p in state.in_op[oo] if p < ii) for oo in hooked1}
-    shifted_high_inputs = {
-        oo: frozenset(p + shift for p in state.in_op[oo] if p > ii) for oo in hooked1
-    }
-    merged_inputs = {oo: low_inputs[oo] | shifted_high_inputs[oo] for oo in hooked1}
-    shifted_op2_inputs = {oo: frozenset(p + ii - 1 for p in state.in_op[oo]) for oo in hooked2}
-
-    witness = ComposeWitness(
-        op1=op1,
-        op2=op2,
-        ii=ii,
-        hat_op_ii=hat_op_ii,
-        foliage1=foliage1,
-        foliage2=foliage2,
-        cardfol1=cardfol1,
-        cardfol2=cardfol2,
-        hooked_in_op1=hooked1,
-        hooked_in_op2=hooked2,
-        low_hats=low_hats,
-        shifted_high_hats=shifted_high_hats,
-        shifted_op2_hats=shifted_op2_hats,
-        rebuilt_hats=rebuilt_hats,
-        low_inputs=low_inputs,
-        shifted_high_inputs=shifted_high_inputs,
-        merged_inputs=merged_inputs,
-        shifted_op2_inputs=shifted_op2_inputs,
-    )
+    # op1's side is built as low | high and op2's side by iteration: equal
+    # frozensets built another way can print in another order in oracle messages.
+    in_op = dict(state.in_op)
+    for oo in hooked1:
+        slots = witness.moved(dict.fromkeys(state.in_op[oo]), {})
+        in_op[oo] = frozenset(p for p in slots if p < ii) | frozenset(p for p in slots if p >= ii)
+    for oo in hooked2:
+        in_op[oo] = frozenset(iter(witness.moved({}, dict.fromkeys(state.in_op[oo]))))
 
     # Hat entries owned by op1 or op2, and every entry keyed to op2's
     # former root role, are purged before the rebuilt component is merged
@@ -281,7 +261,7 @@ def compose_seq_with_witness(
     new_g_hat = {
         key: m for key, m in state.g_hat_op.items() if m not in (op1, op2) and key[1] != op2
     }
-    new_g_hat.update(rebuilt_hats)
+    new_g_hat.update({(p, op1): m for p, m in witness.moved(hat1, hat2).items()})
     out_op = dict(state.out_op)
     out_op.pop(op2, None)
 
@@ -293,7 +273,7 @@ def compose_seq_with_witness(
             [(p, op1) for p in foliage1], [(p, op2) for p in foliage2]
         ).union([(p, op1) for p in range(1, cardfol1 + cardfol2)]),
         out_op=out_op,
-        in_op={**state.in_op, **merged_inputs, **shifted_op2_inputs},
+        in_op=in_op,
         g_hat_op=new_g_hat,
         hook_op={**state.hook_op, op2: hat_op_ii},
         g_hook_op={**state.g_hook_op, **dict.fromkeys(hooked2, op1)},
@@ -337,19 +317,6 @@ def foliage_of(state: FlatState, root: OperadId) -> tuple[Position, ...]:
     return tuple(sorted(state._index.foliage.get(root, ())))
 
 
-def result_arity(n: int, m: int) -> int:
-    """Arity of a composite: grafting m-ary into n-ary gives n + m - 1.
-
-    m = 0 is the constant case: the slot is consumed and nothing
-    replaces it.
-    """
-    if n < 1:
-        raise BoundsError(f"the outer arity must be positive, got {n}")
-    if m < 0:
-        raise BoundsError(f"the grafted arity must be non-negative, got {m}")
-    return n + m - 1
-
-
 def hat_map_of(state: FlatState, root: OperadId) -> dict[Position, OperadId]:
     """The hats keyed to root, in g_hat_op order; a copy the caller may keep."""
     _require_root(state, root)
@@ -363,23 +330,6 @@ def in_map_of(state: FlatState, root: OperadId) -> dict[OperadId, frozenset[Posi
 def hook_map_of(state: FlatState, root: OperadId) -> dict[OperadId, OperadId]:
     members = component_of(state, root)
     return {oo: state.hook_op[oo] for oo in sorted(members) if oo in state.hook_op}
-
-
-INVARIANT_LABELS = (
-    "inv10",
-    "inv30",
-    "inv40",
-    "inv60",
-    "invr10",
-    "invr20",
-    "invr30",
-    "invr34",
-    "invr40",
-    "invr50",
-    "SP1",
-    "SP2",
-    "SP3",
-)
 
 
 def check_invariants(state: FlatState) -> list[str]:

@@ -127,8 +127,8 @@ def run(sim: SimConfig) -> SimReport:
     while fired_count < sim.max_steps:
         root_list = [op for op in sorted(state.my_operads) if op not in state.g_hook_op]
         can_fire = {
-            "new_operad": len(state.my_operads) < cfg.max_oprd
-            and len(state.foliage) + 1 <= cfg.max_fol,
+            # g28 cannot fire here: Config makes max_fol >= max_oprd * max_args
+            "new_operad": len(state.my_operads) < cfg.max_oprd,
             "compose_seq": len(root_list) >= 2,
         }
         if not any(can_fire[name] for name in names):

@@ -84,9 +84,11 @@ def test_compose_rejects_malformed_trace(tmp_path, capsys):
 
 def test_compose_reports_guard_failure(tmp_path, capsys):
     path = tmp_path / "trace.txt"
-    path.write_text("new f 2 1\nnew f 2 1\n")
-    assert main(["compose", str(path)]) == 1
-    assert "g3" in capsys.readouterr().err
+    # creation takes arities 1..max_args and max_out outputs, as in every other entry point
+    for trace, label in [("new f 2 1\nnew f 2 1\n", "g3"), ("new f 40 1\n", "g4"), ("new f 2 2\n", "g6")]:
+        path.write_text(trace)
+        assert main(["compose", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: [{label}] ")
 
 
 def test_check_clean_state(dump_file, capsys):
@@ -262,3 +264,19 @@ def test_usage_errors(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["parse", "/definitely/not/there.op"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv,source",
+    [
+        (["parse", "-"], "f:1; " + "(" * 3000 + "f" + ")" * 3000),
+        (["parse", "-"], "".join(f"a{k}:1; " for k in range(3000)) + " o_1 ".join(f"a{k}" for k in range(3000))),
+        (["eval", "-", "--fn", "f=2:10"], "f:1; " + "(" * 3000 + "f" + ")" * 3000),
+    ],
+    ids=["parse-parens", "parse-chain", "eval-parens"],
+)
+def test_deep_programs_fail_without_traceback(argv, source, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(source))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nest deeper than" in err

@@ -4,30 +4,12 @@ import dataclasses
 
 import pytest
 
-from operadix import BoundsError, Config, ConfigError, GuardFailed, ParseError, default_config, load_config, seq_n
+from operadix import Config, ConfigError, GuardFailed, ParseError, load_config
 from operadix.core import config_from_entries, is_operad_id, parse_config_entries
 
 
-def test_seq_n_basic():
-    assert seq_n(1) == (1,)
-    assert seq_n(4) == (1, 2, 3, 4)
-    assert seq_n(6) == (1, 2, 3, 4, 5, 6)
-
-
-def test_seq_n_respects_bound():
-    assert seq_n(4, bound=4) == (1, 2, 3, 4)
-    with pytest.raises(BoundsError):
-        seq_n(5, bound=4)
-
-
-@pytest.mark.parametrize("nn", [0, -1, -7])
-def test_seq_n_rejects_nonpositive(nn):
-    with pytest.raises(BoundsError):
-        seq_n(nn)
-
-
 def test_default_config_values():
-    cfg = default_config()
+    cfg = Config()
     assert cfg.max_args == 6
     assert cfg.max_out == 1
     assert cfg.max_oprd == 8
@@ -35,7 +17,7 @@ def test_default_config_values():
 
 
 def test_config_is_frozen():
-    cfg = default_config()
+    cfg = Config()
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.max_args = 7
 
@@ -99,7 +81,7 @@ def test_config_from_entries():
 
 
 def test_config_from_entries_defaults_missing_keys():
-    assert config_from_entries({}) == default_config()
+    assert config_from_entries({}) == Config()
 
 
 def test_config_from_entries_rejects_unknown_key():
@@ -115,7 +97,7 @@ def test_config_from_entries_rejects_non_integer():
 def test_config_from_entries_skips_alphabet():
     # symbol lists ride along in config files but are not numeric bounds
     cfg = config_from_entries({"alphabet": "a,b,c,d,e,f"})
-    assert cfg == default_config()
+    assert cfg == Config()
 
 
 def test_config_from_entries_overrides():

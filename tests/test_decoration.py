@@ -10,8 +10,11 @@ from operadix import (
     GuardFailed,
     NewOperad,
     ComposeSeq,
+    SimConfig,
     StateFormatError,
+    TraceReset,
     alphabet_from_entries,
+    apply_event,
     check_gluing,
     check_invariants,
     compose_seq_x,
@@ -19,10 +22,12 @@ from operadix import (
     default_alphabet,
     dump_decorated,
     empty_decorated,
+    empty_state,
     erase,
     load_decorated,
     new_operad_x,
     replay,
+    run,
 )
 
 
@@ -86,7 +91,7 @@ def decoration_guard(fn, *args, **kwargs):
 
 def test_new_operad_x_guards():
     s = new_operad_x(empty_decorated(), "f", 2)
-    assert decoration_guard(new_operad_x, s, "g", 7) == "decor-arity"
+    assert decoration_guard(new_operad_x, s, "g", 7) == "g4"  # the base bound is the decorated one
     assert decoration_guard(new_operad_x, s, "g", 2, decor={1: "a", 3: "b"}) == "decor-domain"
     assert decoration_guard(new_operad_x, s, "g", 2, decor={1: "a", 2: "zz"}) == "decor-symbol"
     assert decoration_guard(new_operad_x, s, "g", 2, decor={1: "a", 2: "a"}) == "decor-injective"
@@ -124,6 +129,24 @@ def test_erase_recovers_base_run():
     s = decorated_pair()
     base = replay([NewOperad("f", 4), NewOperad("g", 2), ComposeSeq("f", 2, "g")])
     assert erase(s) == base
+    # simulator traces, replayed with decorations: symbols and slots move together
+    for max_oprd in (8, 16):
+        cfg = Config(max_oprd=max_oprd, max_fol=max_oprd * 6)
+        for seed in (1, 2, 3, 4):
+            trace = run(SimConfig(seed=seed, max_steps=150, config=cfg)).trace
+            decorated, base = empty_decorated(cfg), empty_state(cfg)
+            for event in trace:
+                if isinstance(event, TraceReset):
+                    decorated, base = empty_decorated(cfg), empty_state(cfg)
+                    continue
+                if isinstance(event, NewOperad):
+                    decorated = new_operad_x(decorated, event.op_id, event.arity, event.outs)
+                else:
+                    decorated = compose_seq_x(decorated, event.op1, event.pos, event.op2)
+                base = apply_event(base, event)
+                assert check_gluing(decorated) == []
+                assert erase(decorated) == base
+            assert erase(decorated) == replay(trace, cfg)
 
 
 def test_decorated_guard_failures_are_atomic():

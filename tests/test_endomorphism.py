@@ -16,7 +16,6 @@ from operadix import (
     check_parallel_axiom,
     check_sequential_axiom,
     circ,
-    circ_const,
     constant_fn,
     format_fn,
     identity_fn,
@@ -119,12 +118,11 @@ def test_circ_arity_arithmetic():
 
 def test_circ_with_constant_consumes_slot():
     assert circ(AND, 1, constant_fn(2, 0)) == parse_fn_spec("2:00")
-    assert circ_const(AND, 1, 0) == parse_fn_spec("2:00")
-    assert circ_const(OR, 2, 1) == parse_fn_spec("2:11")
+    assert circ(OR, 2, constant_fn(2, 1)) == parse_fn_spec("2:11")
 
 
 def test_circ_const_saturates_to_value():
-    r = circ_const(NOT, 1, 0)
+    r = circ(NOT, 1, constant_fn(2, 0))
     assert r.arity == 0 and r() == 1
 
 

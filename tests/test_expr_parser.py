@@ -18,6 +18,7 @@ from operadix import (
     print_program,
     replay,
 )
+from operadix.expr_parser import MAX_DEPTH
 
 
 def test_parse_single_atom():
@@ -149,3 +150,33 @@ def test_slot_arithmetic_against_machine():
     left = replay(elaborate(*parse("f:4; g:3; h:3; (f o_2 g) o_4 h")))
     right = replay(elaborate(*parse("f:4; g:3; h:3; f o_2 (g o_3 h)")))
     assert left == right
+
+
+def chain(n: int) -> str:
+    """n unary atoms composed left to right: a tree n - 1 compositions deep."""
+    return "".join(f"a{k}:1; " for k in range(n)) + " o_1 ".join(f"a{k}" for k in range(n))
+
+
+def test_nesting_up_to_max_depth_is_accepted():
+    decls, expr = parse(chain(MAX_DEPTH + 1))
+    wide = Config(max_args=1, max_oprd=MAX_DEPTH + 1, max_fol=MAX_DEPTH + 1)
+    assert len(elaborate(decls, expr, wide)) == 2 * MAX_DEPTH + 1
+    assert parse(print_program(decls, expr)) == (decls, expr)
+    assert parse("f:1; " + "(" * MAX_DEPTH + "f" + ")" * MAX_DEPTH)[1] == Atom("f")
+
+
+@pytest.mark.parametrize(
+    "src,message",
+    [
+        (chain(MAX_DEPTH + 2), f"compositions nest deeper than {MAX_DEPTH}"),
+        ("f:1; " + "(" * (MAX_DEPTH + 1) + "f" + ")" * (MAX_DEPTH + 1), f"parentheses nest deeper than {MAX_DEPTH}"),
+    ],
+)
+def test_parse_rejects_deeper_nesting(src, message):
+    with pytest.raises(ParseError, match=message):
+        parse(src)
+
+
+def test_elaborate_rejects_more_declarations_than_max_oprd():
+    with pytest.raises(ElaborationError, match="9 declarations exceed max_oprd = 8"):
+        elaborate(*parse(chain(9)))

@@ -26,7 +26,6 @@ from operadix import (
     new_operad,
     parse_trace,
     replay,
-    result_arity,
     roots,
 )
 
@@ -68,8 +67,8 @@ def test_new_operad_shape():
 
 
 def test_new_operad_output_always_one():
-    # the output count is validated but every operad stores output {1}
-    s = new_operad(empty_state(), "f", 4, outs=3)
+    # the output count is validated against max_out, which is always 1
+    s = new_operad(empty_state(), "f", 4, outs=1)
     assert s.out_op["f"] == frozenset({1})
 
 
@@ -84,8 +83,10 @@ def test_new_operad_guards():
     assert guard_label(new_operad, s, "no spaces", 1) == "id-token"
     assert guard_label(new_operad, s, "f", 2) == "g3"
     assert guard_label(new_operad, s, "g", 0) == "g4"
+    assert guard_label(new_operad, s, "g", 7) == "g4"  # arity is capped at max_args
     assert guard_label(new_operad, s, "g", 49) == "g4"
     assert guard_label(new_operad, s, "g", 2, 0) == "g6"
+    assert guard_label(new_operad, s, "g", 2, 2) == "g6"  # outputs are capped at max_out
     assert guard_label(new_operad, s, "g", 2, 7) == "g6"
 
 
@@ -97,7 +98,9 @@ def test_new_operad_count_bound():
 
 
 def test_new_operad_foliage_budget():
-    s = new_operad(empty_state(), "f", 48)
+    # events alone cannot fill the budget (max_fol >= max_oprd * max_args),
+    # so the foliage is filled by hand
+    s = replace(empty_state(), foliage=frozenset((p, "f") for p in range(1, 49)))
     assert guard_label(new_operad, s, "g", 1) == "g28"
 
 
@@ -157,14 +160,17 @@ def test_deep_graft_below_two_levels(nested_triple):
 def test_compose_witness_relabelling(quadratic_pair):
     s = build(NewOperad("f", 4), NewOperad("g", 2))
     _, w = compose_seq_with_witness(s, "f", 2, "g")
+    assert (w.op1, w.op2, w.ii) == ("f", "g", 2)
     assert (w.cardfol1, w.cardfol2) == (4, 2)
-    assert w.hat_op_ii == "f"
-    assert w.low_hats == {1: "f"}
-    assert w.shifted_op2_hats == {2: "g", 3: "g"}
-    assert w.shifted_high_hats == {4: "f", 5: "f"}
-    assert set(w.rebuilt_hats) == {(p, "f") for p in (1, 2, 3, 4, 5)}
-    assert w.merged_inputs == {"f": frozenset({1, 4, 5})}
-    assert w.shifted_op2_inputs == {"g": frozenset({2, 3})}
+    assert (w.hooked_in_op1, w.hooked_in_op2) == ({"f"}, {"g"})
+    # hats: op1's low slots, then op2's, then op1's high slots; slot 2 is consumed
+    hats = w.moved({1: "f", 2: "f", 3: "f", 4: "f"}, {1: "g", 2: "g"})
+    assert list(hats.items()) == [(1, "f"), (2, "g"), (3, "g"), (4, "f"), (5, "f")]
+    # input sets, one side at a time
+    assert w.moved(dict.fromkeys((1, 2, 3, 4)), {}).keys() == {1, 4, 5}
+    assert w.moved({}, dict.fromkeys((1, 2))).keys() == {2, 3}
+    # positions outside the foliage move by the same arithmetic
+    assert w.moved({0: "x", 9: "y"}, {5: "z"}) == {0: "x", 6: "z", 10: "y"}
 
 
 def test_compose_law_checks(quadratic_pair):
@@ -200,8 +206,9 @@ def test_compose_defensive_guards(quadratic_pair):
 def test_compose_overflow_on_merged_state():
     # two roots this big cannot arise through events (the creation budget
     # blocks the second), so the overflow check needs a stitched state
-    s1 = new_operad(empty_state(), "f", 41)
-    s2 = new_operad(empty_state(), "g", 9)
+    wide = Config(max_args=41, max_oprd=1, max_fol=48)
+    s1 = new_operad(empty_state(wide), "f", 41)
+    s2 = new_operad(empty_state(wide), "g", 9)
     merged = replace(
         s1,
         my_operads=s1.my_operads | s2.my_operads,
@@ -270,17 +277,6 @@ def test_hat_map_of_returns_a_copy(quadratic_pair):
     hats[1] = "zz"
     del hats[2]
     assert hat_map_of(quadratic_pair, "f") == {1: "f", 2: "g", 3: "g", 4: "f", 5: "f"}
-
-
-def test_result_arity():
-    assert result_arity(4, 2) == 5
-    assert result_arity(6, 3) == 8
-    assert result_arity(1, 1) == 1
-    assert result_arity(3, 0) == 2  # grafting a constant consumes the slot
-    with pytest.raises(BoundsError):
-        result_arity(0, 1)
-    with pytest.raises(BoundsError):
-        result_arity(3, -1)
 
 
 def test_invariants_clean_states(quadratic_pair, nested_triple):
