@@ -1,0 +1,136 @@
+"""Benchmark trajectory: parent and change medians of every workload, as JSON.
+
+    python3 bench/trajectory.py --parent HEAD --out BENCH_7.json
+
+Run from the root of a git checkout.  The parent is a commit, exported
+with ``git archive`` into a temporary directory; the change is the
+``src/`` and ``perfbench/`` directories of the working tree.  For each
+workload in BENCHMARK.json and each of the fixed seeds,
+``perfbench/run.py --trace 0`` runs once per side for the benchmark's
+``run_seconds``, in alternating order, one run at a time.  The output
+holds, per workload and side, the median of each end-to-end metric,
+every run's values, the failed-request count and the host-speed probe,
+plus the commits and the Python version.
+
+The file is a trajectory, not evidence for a speed claim: a claim
+still needs its own alternating pairs, with seeds not used during
+development.  Standard library only; nothing under perfbench/ changes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import platform
+import re
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+PROBE_RE = re.compile(r"host_probe_ms before ([0-9.]+) after ([0-9.]+)")
+SEEDS = (1, 2, 3, 4, 5)
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def export_commit(rev: str, into: Path) -> str:
+    """Unpack src/ and perfbench/ of rev into a fresh directory; return the full hash."""
+    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", commit, "src", "perfbench"],
+        cwd=ROOT, check=True, capture_output=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into)
+    return commit
+
+
+def copy_worktree(into: Path) -> str:
+    """Copy src/ and perfbench/ of the working tree; describe it by HEAD."""
+    for name in ("src", "perfbench"):
+        shutil.copytree(ROOT / name, into / name, ignore=shutil.ignore_patterns("__pycache__", "out"))
+    dirty = git("status", "--porcelain", "--", "src", "perfbench") != ""
+    return git("rev-parse", "HEAD") + (" + working tree" if dirty else "")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", f"{seconds:g}", "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{workload} seed {seed} in {checkout} failed:\n{proc.stderr}")
+    result = json.loads(lines[-1])
+    probe = PROBE_RE.search(proc.stdout)
+    return {
+        "seed": seed,
+        "correct": result["correct"],
+        "failed": result["failed"],
+        "metrics": {name: entry["value"] for name, entry in result["metrics"].items()},
+        "host_probe_ms": [float(probe.group(1)), float(probe.group(2))] if probe else None,
+    }
+
+
+def summarize(runs: list[dict]) -> dict:
+    names = [metric["name"] for metric in BENCHMARK["end_to_end"]]
+    return {
+        "median": {name: statistics.median(run["metrics"][name] for run in runs) for name in names},
+        "failed": sum(run["failed"] for run in runs),
+        "correct": all(run["correct"] for run in runs),
+        "runs": runs,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD", help="parent commit (default HEAD)")
+    parser.add_argument("--out", required=True, help="JSON file to write, e.g. BENCH_7.json")
+    args = parser.parse_args(argv)
+    seconds = BENCHMARK["run_seconds"]
+
+    with tempfile.TemporaryDirectory(prefix="trajectory-") as tmp:
+        parent_dir, change_dir = Path(tmp, "parent"), Path(tmp, "change")
+        parent_commit = export_commit(args.parent, parent_dir)
+        change_commit = copy_worktree(change_dir)
+        sides = {"parent": parent_dir, "change": change_dir}
+        runs: dict[str, dict[str, list[dict]]] = {}
+        for workload in (w["name"] for w in BENCHMARK["workloads"]):
+            runs[workload] = {"parent": [], "change": []}
+            for turn, seed in enumerate(SEEDS):
+                order = ("parent", "change") if turn % 2 == 0 else ("change", "parent")
+                for side in order:
+                    run = run_once(sides[side], workload, seed, seconds)
+                    runs[workload][side].append(run)
+                    rps = run["metrics"]["requests_per_s"]
+                    print(f"{workload} seed {seed} {side}: requests_per_s {rps:.4g}", file=sys.stderr)
+
+    report = {
+        "parent_commit": parent_commit,
+        "change_commit": change_commit,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "seconds": seconds,
+        "seeds": list(SEEDS),
+        "order": "alternating, parent first on even turns",
+        "workloads": {
+            workload: {side: summarize(side_runs) for side, side_runs in by_side.items()}
+            for workload, by_side in runs.items()
+        },
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

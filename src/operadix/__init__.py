@@ -18,11 +18,9 @@ from .core import (
     OverflowFoliage,
     ParseError,
     StateFormatError,
-    load_config,
 )
 from .decoration import (
     DecoratedState,
-    alphabet_from_entries,
     check_gluing,
     compose_seq_x,
     decorated_to_json,
@@ -89,7 +87,6 @@ from .tree_oracle import (
     FlatView,
     Leaf,
     TreeOperad,
-    ancestor_map,
     compare_with_flat,
     derive_flat_view,
     elementary,

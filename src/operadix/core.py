@@ -14,17 +14,32 @@ limits, only search-budget knobs.
 from __future__ import annotations
 
 import re
+from collections.abc import Collection
 from dataclasses import dataclass
 
 OperadId = str
 Position = int
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_IDS_RE = re.compile(r"[A-Za-z0-9_]*\Z")
 
 
 def is_operad_id(name: object) -> bool:
     """True when *name* is a well-formed operad identifier token."""
     return isinstance(name, str) and bool(_ID_RE.match(name))
+
+
+def all_operad_ids(names: Collection[object]) -> bool:
+    """all(map(is_operad_id, names)), with one match over the joined names.
+
+    Joining fails on a name that is not a str, and the empty name is
+    the one word the join would hide.
+    """
+    try:
+        joined = "".join(names)  # type: ignore[arg-type]
+    except TypeError:
+        return False
+    return "" not in names and _IDS_RE.match(joined) is not None
 
 
 class OperadError(Exception):
@@ -118,10 +133,6 @@ class Config:
 
 _CONFIG_KEYS = ("max_args", "max_out", "max_oprd", "max_fol")
 
-# config files may also declare a decoration alphabet; the bounds
-# parser skips it so one file can configure both layers
-_EXTENSION_KEYS = ("alphabet",)
-
 
 def parse_config_entries(text: str) -> dict[str, str]:
     """Key-value lines, ``#`` starts a comment, blank lines ignored."""
@@ -151,8 +162,6 @@ def config_from_entries(entries: dict[str, str], **overrides: int | None) -> Con
     """
     fields: dict[str, int] = {}
     for key, value in entries.items():
-        if key in _EXTENSION_KEYS:
-            continue
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         try:
@@ -166,8 +175,3 @@ def config_from_entries(entries: dict[str, str], **overrides: int | None) -> Con
             fields[key] = value
     return Config(**fields)
 
-
-def load_config(path: str, **overrides: int | None) -> Config:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    return config_from_entries(parse_config_entries(text), **overrides)

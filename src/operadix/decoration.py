@@ -62,13 +62,6 @@ def empty_decorated(config: Config | None = None, alphabet: tuple[str, ...] | No
     return DecoratedState(base=empty_state(cfg), alphabet=chosen, in_op_x={}, out_op_x={})
 
 
-def alphabet_from_entries(entries: dict[str, str]) -> tuple[str, ...] | None:
-    """The ``alphabet`` key of a config file, as an ordered symbol tuple."""
-    if "alphabet" not in entries:
-        return None
-    return tuple(symbol.strip() for symbol in entries["alphabet"].split(","))
-
-
 def new_operad_x(
     state: DecoratedState,
     op_id: OperadId,

@@ -168,16 +168,18 @@ def sweep_sequential(carrier: int, max_arity: int) -> SweepResult:
     """Exhaustive sequential-axiom check over every function triple."""
     pool = _function_pool(carrier, max_arity)
     _guard_sweep_size(pool)
+    # g o_jj h depends on neither f nor ii: once per (g, jj, h) for the whole sweep
+    gh_all = [[[circ(g, jj, h) for h in pool] for jj in range(1, g.arity + 1)] for g in pool]
     cases = 0
     for f in pool:
         for ii in range(1, f.arity + 1):
-            for g in pool:
+            for g, gh_rows in zip(pool, gh_all):
                 fg = circ(f, ii, g)
-                for jj in range(1, g.arity + 1):
-                    for h in pool:
+                for jj, gh_row in enumerate(gh_rows, start=1):
+                    for h, gh in zip(pool, gh_row):
                         cases += 1
                         # check_sequential_axiom with f o_ii g computed once per (f, ii, g)
-                        if circ(fg, ii - 1 + jj, h) != circ(f, ii, circ(g, jj, h)):
+                        if circ(fg, ii - 1 + jj, h) != circ(f, ii, gh):
                             return SweepResult(
                                 False,
                                 cases,

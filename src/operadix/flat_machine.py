@@ -5,9 +5,9 @@ relations indexed by operad identifiers and 1-based positions, and the
 two events (create, compose) rewrite those relations wholesale.  The
 open slots of a composite always carry the contiguous labels 1..n where
 n is its arity; grafting renumbers every affected label.  That
-relabelling rule is written once, in ComposeWitness.moved: compose
-applies it to hats and input sets, and the decoration layer to the
-symbols on the slots.
+relabelling rule is written once, on ComposeWitness: compose applies
+moved() to hats and its set form moved_set() to input sets, and the
+decoration layer applies moved() to the symbols on the slots.
 
 Vocabulary, with ``op2`` grafted into slot ``ii`` of the composite
 rooted at ``op1``:
@@ -36,8 +36,9 @@ index is derived afresh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple, TypeVar
 
 from .core import (
@@ -47,6 +48,7 @@ from .core import (
     OperadId,
     OverflowFoliage,
     Position,
+    all_operad_ids,
     is_operad_id,
 )
 
@@ -163,20 +165,29 @@ def new_operad(state: FlatState, op_id: OperadId, arity: int, outs: int = 1) -> 
             f"foliage would grow to {len(state.foliage) + arity}, past max_fol = {cfg.max_fol}",
         )
     positions = range(1, arity + 1)
-    return replace(
-        state,
+    return FlatState(
+        config=cfg,
         my_operads=state.my_operads | {op_id},
         arity_op={**state.arity_op, op_id: arity},
         foliage=state.foliage | {(p, op_id) for p in positions},
         out_op={**state.out_op, op_id: frozenset({1})},
         in_op={**state.in_op, op_id: frozenset(positions)},
         g_hat_op={**state.g_hat_op, **{(p, op_id): op_id for p in positions}},
+        hook_op=state.hook_op,
+        g_hook_op=state.g_hook_op,
     )
 
 
 @dataclass(frozen=True)
 class ComposeWitness:
-    """What one grafting step did, for the law checks and for transport."""
+    """What one grafting step did, for the law checks and for transport.
+
+    The relabelling rule is written here only, in two forms: moved()
+    for slot maps and moved_set() for sets of slots.  With shift =
+    cardfol2 - 1, a slot p of op1's side stays p when p < ii,
+    disappears when p == ii and becomes p + shift when p > ii; a slot p
+    of op2's side becomes p + ii - 1.
+    """
 
     op1: OperadId
     op2: OperadId
@@ -187,7 +198,7 @@ class ComposeWitness:
     hooked_in_op2: frozenset[OperadId]
 
     def moved(self, outer: dict[Position, V], grafted: dict[Position, V]) -> dict[Position, V]:
-        """The relabelling rule, and the only place it is written.
+        """The relabelling rule on slot maps.
 
         outer is a slot map of op1's side, grafted one of op2's side.
         Slots of outer below ii keep their labels, ii disappears, and
@@ -205,11 +216,37 @@ class ComposeWitness:
         relabelled.update({p + shift: v for p, v in outer.items() if p > ii})
         return relabelled
 
+    def moved_set(self, outer: frozenset[Position], grafted: frozenset[Position]) -> frozenset[Position]:
+        """The set form of moved(): one pass over each side, no slot map.
+
+        Equal to frozenset(moved(dict.fromkeys(outer), dict.fromkeys(grafted))).
+        A member's input set lies on one side.  outer's is built as
+        low | high and grafted's by iteration, as compose has always
+        built them: equal frozensets built another way can print their
+        members in another order in oracle messages.
+        """
+        ii = self.ii
+        if not outer:
+            return frozenset(p + ii - 1 for p in grafted)
+        shift = self.cardfol2 - 1
+        relabelled = frozenset(p for p in outer if p < ii)
+        if grafted:
+            relabelled |= frozenset(p + ii - 1 for p in grafted)
+        return relabelled | frozenset(p + shift for p in outer if p > ii)
+
 
 def compose_seq_with_witness(
     state: FlatState, op1: OperadId, ii: Position, op2: OperadId
 ) -> tuple[FlatState, ComposeWitness]:
-    """Graft op2 into slot ii of op1's composite; also return the witness."""
+    """Graft op2 into slot ii of op1's composite; also return the witness.
+
+    Cost: O(component) for the guards, the new input sets and the hats
+    of op1 and op2, read from the per-root index of the old state; a
+    hat bucket whose keys are the root's foliage is used as it is.
+    Building the new state is O(state): g_hat_op is filtered and
+    foliage copied, entry by entry, and the new state's index is
+    derived again from its relations on first use.
+    """
     if op1 == op2:
         raise GuardFailed("op-distinct", f"cannot compose {op1!r} with itself")
     if op1 not in state.in_op:
@@ -226,8 +263,14 @@ def compose_seq_with_witness(
     hooked2 = frozenset([op2, *index.members.get(op2, ())])
     foliage1 = index.foliage.get(op1, set())
     foliage2 = index.foliage.get(op2, set())
-    hat1 = {p: member for p, member in index.hats.get(op1, {}).items() if p in foliage1}
-    hat2 = {p: member for p, member in index.hats.get(op2, {}).items() if p in foliage2}
+    # the index's buckets are shared, read-only: filter only when a hat
+    # lies outside the foliage
+    hat1 = index.hats.get(op1, {})
+    if hat1.keys() != foliage1:
+        hat1 = {p: member for p, member in hat1.items() if p in foliage1}
+    hat2 = index.hats.get(op2, {})
+    if hat2.keys() != foliage2:
+        hat2 = {p: member for p, member in hat2.items() if p in foliage2}
     if ii not in hat1:
         raise GuardFailed("rg72", f"position {ii} is not an open slot of the composite rooted at {op1!r}")
     hat_op_ii = hat1[ii]
@@ -244,16 +287,17 @@ def compose_seq_with_witness(
         raise OverflowFoliage(
             f"composite would need {cardfol1 + cardfol2 - 1} positions, max_fol is {state.config.max_fol}"
         )
+    if not (state.in_op.keys() >= hooked1 and state.in_op.keys() >= hooked2):
+        missing = ", ".join(sorted(map(repr, (hooked1 | hooked2) - state.in_op.keys())))
+        raise GuardFailed("rg64", f"composite member {missing} has no input map")
     witness = ComposeWitness(op1, op2, ii, cardfol1, cardfol2, hooked1, hooked2)
 
-    # op1's side is built as low | high and op2's side by iteration: equal
-    # frozensets built another way can print in another order in oracle messages.
     in_op = dict(state.in_op)
+    no_slots: frozenset[Position] = frozenset()
     for oo in hooked1:
-        slots = witness.moved(dict.fromkeys(state.in_op[oo]), {})
-        in_op[oo] = frozenset(p for p in slots if p < ii) | frozenset(p for p in slots if p >= ii)
+        in_op[oo] = witness.moved_set(state.in_op[oo], no_slots)
     for oo in hooked2:
-        in_op[oo] = frozenset(iter(witness.moved({}, dict.fromkeys(state.in_op[oo]))))
+        in_op[oo] = witness.moved_set(no_slots, state.in_op[oo])
 
     # Hat entries owned by op1 or op2, and every entry keyed to op2's
     # former root role, are purged before the rebuilt component is merged
@@ -270,8 +314,8 @@ def compose_seq_with_witness(
         my_operads=state.my_operads,
         arity_op=state.arity_op,
         foliage=state.foliage.difference(
-            [(p, op1) for p in foliage1], [(p, op2) for p in foliage2]
-        ).union([(p, op1) for p in range(1, cardfol1 + cardfol2)]),
+            zip(foliage1, repeat(op1)), zip(foliage2, repeat(op2))
+        ).union(zip(range(1, cardfol1 + cardfol2), repeat(op1))),
         out_op=out_op,
         in_op=in_op,
         g_hat_op=new_g_hat,
@@ -332,6 +376,15 @@ def hook_map_of(state: FlatState, root: OperadId) -> dict[OperadId, OperadId]:
     return {oo: state.hook_op[oo] for oo in sorted(members) if oo in state.hook_op}
 
 
+def _in_range(ps, top: int) -> bool:
+    return not ps or (min(ps) >= 1 and max(ps) <= top)
+
+
+def _buckets_in_range(buckets, top: int) -> bool:
+    # every bucket of the index is non-empty: it is made on its first entry
+    return not buckets or (min(map(min, buckets)) >= 1 and max(map(max, buckets)) <= top)
+
+
 def check_invariants(state: FlatState) -> list[str]:
     """Labels of the violated invariants, in canonical order.
 
@@ -347,41 +400,38 @@ def check_invariants(state: FlatState) -> list[str]:
 
     Cost: O(state).  The per-root index of the state (one pass each
     over foliage, g_hat_op and g_hook_op, shared with compose and the
-    per-root queries) supplies every per-root bucket; every other test
-    is set algebra or one pass over a relation.
+    per-root queries) supplies every per-root bucket, and the position
+    bounds of inv40 and invr20 are read bucket by bucket.  Every other
+    test is a C-level call (set algebra, min/max, one regex match over
+    the joined ids) except three short Python passes: over hook_op's
+    values to count children, over in_op for invr50 and SP3 together,
+    and over the roots with grafted members for SP1 and SP2 together.
     """
     cfg = state.config
     bad: list[str] = []
     ops = state.my_operads
+    in_op = state.in_op
+    arity_op = state.arity_op
     index = state._index
 
-    def in_range(ps, top: int) -> bool:
-        return not ps or (min(ps) >= 1 and max(ps) <= top)
-
-    def positions_in_range(pairs, top: int) -> bool:
-        # (position, root) pairs order by position first
-        return not pairs or (min(pairs)[0] >= 1 and max(pairs)[0] <= top)
-
-    if not all(map(is_operad_id, ops)):
+    if not all_operad_ids(ops):
         bad.append("inv10")
-    if not (ops.issuperset(state.arity_op) and in_range(state.arity_op.values(), cfg.max_fol)):
+    if not (ops.issuperset(arity_op) and _in_range(arity_op.values(), cfg.max_fol)):
         bad.append("inv30")
-    if not (ops.issuperset(index.foliage) and positions_in_range(state.foliage, cfg.max_fol)):
+    if not (ops.issuperset(index.foliage) and _buckets_in_range(index.foliage.values(), cfg.max_fol)):
         bad.append("inv40")
     if not (
         ops.issuperset(state.out_op)
-        and in_range(frozenset().union(*state.out_op.values()), cfg.max_args)
+        and _in_range(frozenset().union(*state.out_op.values()), cfg.max_args)
     ):
         bad.append("inv60")
-    if not (
-        ops.issuperset(state.in_op)
-        and in_range(frozenset().union(*state.in_op.values()), cfg.max_fol)
-    ):
+    inputs_in_range = _in_range(frozenset().union(*in_op.values()), cfg.max_fol)
+    if not (ops.issuperset(in_op) and inputs_in_range):
         bad.append("invr10")
     if not (
         ops.issuperset(index.hats)
         and ops.issuperset(state.g_hat_op.values())
-        and positions_in_range(state.g_hat_op.keys(), cfg.max_fol)
+        and _buckets_in_range(index.hats.values(), cfg.max_fol)
     ):
         bad.append("invr20")
     if not (ops.issuperset(state.hook_op) and ops.issuperset(state.hook_op.values())):
@@ -390,49 +440,46 @@ def check_invariants(state: FlatState) -> list[str]:
         bad.append("invr34")
     if not (ops.issuperset(state.g_hook_op) and ops.issuperset(index.members)):
         bad.append("invr40")
-    if not all(
-        len(ins) <= state.arity_op[op]
-        for op, ins in state.in_op.items()
-        if op in state.arity_op and op in ops
-    ):
+
+    # invr50 bounds every input set by its arity; SP3 asks one lost
+    # input per direct child of a member
+    hook_children: dict[OperadId, int] = {}
+    for parent in state.hook_op.values():
+        hook_children[parent] = hook_children.get(parent, 0) + 1
+    over_arity = lost_inputs = False
+    for op, ins in in_op.items():
+        if op in arity_op and op in ops:
+            arity = arity_op[op]
+            if len(ins) > arity:
+                over_arity = True
+            if op in hook_children and len(ins) != arity - hook_children[op]:
+                lost_inputs = True
+    if over_arity:
         bad.append("invr50")
 
     # SP1 and SP2 look only at roots with grafted members that are
     # operads, own foliage and have an input set
-    roots_checked = [
-        op
-        for op in index.members
-        if op in ops and op in index.foliage and op in state.in_op
-    ]
-
-    hat_values = set(state.g_hat_op.values())
-    for op in roots_checked:
-        if (
-            op in hat_values
-            and op not in state.g_hook_op
-            and index.hats.get(op, {}).keys() | state.in_op[op] != index.foliage[op]
-        ):
-            bad.append("SP1")
-            break
-
-    for op in roots_checked:
-        covered = set(state.in_op[op])
-        for oo in index.members[op]:
-            ins = state.in_op.get(oo)
-            if ins is not None and in_range(ins, cfg.max_fol):
-                covered |= ins
-        if covered != index.foliage[op]:
-            bad.append("SP2")
-            break
-
-    hook_children: dict[OperadId, int] = {}
-    for parent in state.hook_op.values():
-        hook_children[parent] = hook_children.get(parent, 0) + 1
-    for op, children in hook_children.items():
-        if op in ops and op in state.in_op and op in state.arity_op:
-            if len(state.in_op[op]) != state.arity_op[op] - children:
-                bad.append("SP3")
-                break
+    uncovered = misfit = False
+    for op, below in index.members.items():
+        if op not in ops or op not in index.foliage or op not in in_op:
+            continue
+        foliage = index.foliage[op]
+        if not uncovered and op not in state.g_hook_op and op in state.g_hat_op.values():
+            uncovered = index.hats.get(op, {}).keys() | in_op[op] != foliage
+        if not misfit:
+            covered = set(in_op[op])
+            for oo in below:
+                ins = in_op.get(oo)
+                # an input set out of range counts for invr10 only
+                if ins is not None and (inputs_in_range or _in_range(ins, cfg.max_fol)):
+                    covered |= ins
+            misfit = covered != foliage
+    if uncovered:
+        bad.append("SP1")
+    if misfit:
+        bad.append("SP2")
+    if lost_inputs:
+        bad.append("SP3")
 
     return bad
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .core import Config, GuardFailed, OverflowFoliage, StateFormatError
 from .flat_machine import (
@@ -113,6 +114,13 @@ def run(sim: SimConfig) -> SimReport:
 
     weights = {name: w for name, w in sim.event_weights.items() if w > 0}
     names = sorted(weights)
+    # rng.choices accumulates the weights on every call; the two candidate
+    # lists are fixed, so their running sums are taken once here
+    draw_all = (names, list(accumulate(weights[n] for n in names)))
+    creatable = [n for n in names if n == "new_operad"]
+    draw_new = (creatable, list(accumulate(weights[n] for n in creatable)))
+    creates = "new_operad" in weights
+    composes = "compose_seq" in weights
 
     fired: dict[str, int] = {}
     guard_failures: dict[str, int] = {}
@@ -125,13 +133,11 @@ def run(sim: SimConfig) -> SimReport:
     next_id = 0
 
     while fired_count < sim.max_steps:
-        root_list = [op for op in sorted(state.my_operads) if op not in state.g_hook_op]
-        can_fire = {
-            # g28 cannot fire here: Config makes max_fol >= max_oprd * max_args
-            "new_operad": len(state.my_operads) < cfg.max_oprd,
-            "compose_seq": len(root_list) >= 2,
-        }
-        if not any(can_fire[name] for name in names):
+        root_list = sorted(state.my_operads.difference(state.g_hook_op))
+        # g28 cannot fire here: Config makes max_fol >= max_oprd * max_args
+        can_create = len(state.my_operads) < cfg.max_oprd
+        can_compose = len(root_list) >= 2
+        if not (creates and can_create or composes and can_compose):
             if not state.my_operads:
                 break
             deadlock_resets += 1
@@ -142,8 +148,8 @@ def run(sim: SimConfig) -> SimReport:
             continue
 
         # compose parameters cannot even be drawn without two roots
-        candidates = [n for n in names if n == "new_operad" or can_fire["compose_seq"]]
-        name = rng.choices(candidates, weights=[weights[c] for c in candidates])[0]
+        candidates, cum_weights = draw_all if can_compose else draw_new
+        name = rng.choices(candidates, cum_weights=cum_weights)[0]
         if name == "new_operad":
             event: Event = NewOperad(f"op{next_id}", rng.randint(1, cfg.max_args), 1)
         else:

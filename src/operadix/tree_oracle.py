@@ -158,20 +158,6 @@ def derive_flat_view(tree: TreeOperad) -> FlatView:
     return _walk(tree)[0]
 
 
-def ancestor_map(tree: TreeOperad) -> dict[OperadId, frozenset[OperadId]]:
-    """For each label, the labels strictly above it; the root maps to {}."""
-    out: dict[OperadId, frozenset[OperadId]] = {}
-
-    def walk(node: TreeOperad, above: frozenset[OperadId]) -> None:
-        out[node.label] = above
-        for child in node.children:
-            if isinstance(child, TreeOperad):
-                walk(child, above | {node.label})
-
-    walk(tree, frozenset())
-    return out
-
-
 def compare_with_flat(state: FlatState, root: OperadId, tree: TreeOperad) -> list[str]:
     """Mismatches between a machine composite and its mirror tree.
 

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from operadix import Config, ConfigError, GuardFailed, ParseError, load_config
+from operadix import Config, ConfigError, GuardFailed, ParseError
 from operadix.core import config_from_entries, is_operad_id, parse_config_entries
 
 
@@ -94,23 +94,16 @@ def test_config_from_entries_rejects_non_integer():
         config_from_entries({"max_args": "four"})
 
 
-def test_config_from_entries_skips_alphabet():
-    # symbol lists ride along in config files but are not numeric bounds
-    cfg = config_from_entries({"alphabet": "a,b,c,d,e,f"})
-    assert cfg == Config()
+def test_config_from_entries_rejects_alphabet():
+    # no command reads an alphabet from a config file: decorated dumps carry their own
+    with pytest.raises(ConfigError, match="unknown config key 'alphabet'"):
+        config_from_entries({"alphabet": "a,b,c,d,e,f"})
 
 
 def test_config_from_entries_overrides():
     cfg = config_from_entries({"max_args": "4"}, max_args=5, max_fol=None)
     assert cfg.max_args == 5
     assert cfg.max_fol == 48
-
-
-def test_load_config(tmp_path):
-    path = tmp_path / "bounds.cfg"
-    path.write_text("max_args=3\nmax_oprd=2\nmax_fol=6\n")
-    assert load_config(path) == Config(max_args=3, max_oprd=2, max_fol=6)
-    assert load_config(path, max_fol=12).max_fol == 12
 
 
 def test_guard_failed_carries_label():

@@ -13,7 +13,6 @@ from operadix import (
     SimConfig,
     StateFormatError,
     TraceReset,
-    alphabet_from_entries,
     apply_event,
     check_gluing,
     check_invariants,
@@ -64,11 +63,6 @@ def test_empty_decorated_default():
 def test_empty_decorated_rejects_bad_alphabet(alphabet):
     with pytest.raises(BoundsError):
         empty_decorated(alphabet=alphabet)
-
-
-def test_alphabet_from_entries():
-    assert alphabet_from_entries({}) is None
-    assert alphabet_from_entries({"alphabet": "u, v ,w"}) == ("u", "v", "w")
 
 
 def test_new_operad_x_default_decoration():

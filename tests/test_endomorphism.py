@@ -266,6 +266,28 @@ def test_sweep_reports_first_failure(faulty_circ, sweep, expected):
     assert sweep(2, 2) == expected
 
 
+@pytest.mark.parametrize(
+    "sweep, calls",
+    [
+        # 720 f o_ii g and 720 g o_jj h, then two per case
+        (sweep_sequential, 720 + 720 + 2 * 25920),
+        # 320 f o_kk h and 320 f o_ii g, then two per case
+        (sweep_parallel, 320 + 320 + 2 * 6400),
+    ],
+)
+def test_sweeps_compute_each_inner_composite_once(monkeypatch, sweep, calls):
+    real = endomorphism.circ
+    made = []
+
+    def counted(f, ii, g):
+        made.append((f, ii, g))
+        return real(f, ii, g)
+
+    monkeypatch.setattr(endomorphism, "circ", counted)
+    assert sweep(2, 2).ok
+    assert len(made) == calls
+
+
 def test_sweep_guard():
     with pytest.raises(BoundsError):
         sweep_sequential(2, 3)

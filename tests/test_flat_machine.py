@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from operadix import (
     BoundsError,
     ComposeSeq,
+    ComposeWitness,
     Config,
     GuardFailed,
     NewOperad,
@@ -18,11 +19,13 @@ from operadix import (
     compose_seq,
     compose_seq_with_witness,
     composition_law_violations,
+    dump_state,
     empty_state,
     foliage_of,
     hat_map_of,
     hook_map_of,
     in_map_of,
+    load_state,
     new_operad,
     parse_trace,
     replay,
@@ -171,6 +174,22 @@ def test_compose_witness_relabelling(quadratic_pair):
     assert w.moved({}, dict.fromkeys((1, 2))).keys() == {2, 3}
     # positions outside the foliage move by the same arithmetic
     assert w.moved({0: "x", 9: "y"}, {5: "z"}) == {0: "x", 6: "z", 10: "y"}
+    # the set form gives the same slots
+    assert w.moved_set(frozenset({1, 2, 3, 4}), frozenset()) == {1, 4, 5}
+    assert w.moved_set(frozenset(), frozenset({1, 2})) == {2, 3}
+    assert w.moved_set(frozenset({0, 9}), frozenset({5})) == {0, 6, 10}
+
+
+@given(
+    ii=st.integers(1, 6),
+    cardfol2=st.integers(0, 6),
+    outer=st.frozensets(st.integers(0, 12)),
+    grafted=st.frozensets(st.integers(0, 12)),
+)
+def test_moved_set_is_moved_on_sets(ii, cardfol2, outer, grafted):
+    w = ComposeWitness("f", "g", ii, 6, cardfol2, frozenset({"f"}), frozenset({"g"}))
+    expected = frozenset(w.moved(dict.fromkeys(outer), dict.fromkeys(grafted)))
+    assert w.moved_set(outer, grafted) == expected
 
 
 def test_compose_law_checks(quadratic_pair):
@@ -201,6 +220,18 @@ def test_compose_defensive_guards(quadratic_pair):
     assert guard_label(compose_seq, no_inputs, "f", 2, "h") == "rg64"
     drained = replace(s, in_op={**s.in_op, "g": frozenset()})
     assert guard_label(compose_seq, drained, "f", 2, "h") == "rg70"
+
+
+def test_compose_rejects_members_without_inputs():
+    # a member of either composite with no in_op entry fails rg64, on a
+    # hand-built state and on the same state loaded from its dump
+    s = build(NewOperad("f", 2), NewOperad("g", 2))
+    orphan = replace(s, g_hook_op={"zz": "g"})
+    for state in (orphan, load_state(dump_state(orphan))):
+        with pytest.raises(GuardFailed, match=r"\[rg64\] composite member 'zz' has no input map"):
+            compose_seq(state, "f", 1, "g")
+        with pytest.raises(GuardFailed, match="rg64"):
+            compose_seq(replace(state, g_hook_op={"zz": "f"}), "f", 1, "g")
 
 
 def test_compose_overflow_on_merged_state():

@@ -11,9 +11,9 @@ from operadix import (
     LEAF,
     NewOperad,
     TreeOperad,
-    ancestor_map,
     apply_event,
     compare_with_flat,
+    component_of,
     derive_flat_view,
     elementary,
     empty_state,
@@ -99,14 +99,6 @@ def test_flat_view_nested():
     assert v.hook_map == {"g": "f", "h": "g"}
 
 
-def test_ancestor_map():
-    assert ancestor_map(nested_tree()) == {
-        "f": frozenset(),
-        "g": frozenset({"f"}),
-        "h": frozenset({"g", "f"}),
-    }
-
-
 SMALL = [1, 2, 3]
 
 
@@ -176,10 +168,10 @@ def test_component_map_sends_members_to_their_root():
     # g_hook_op holds the root only, not the full ancestor closure:
     # h sits below g, yet maps straight to f
     s = machine_nested_state()
-    anc = ancestor_map(nested_tree())
+    assert derive_flat_view(nested_tree()).hook_map == {"g": "f", "h": "g"}
+    assert s.hook_op == {"g": "f", "h": "g"}
     assert s.g_hook_op == {"g": "f", "h": "f"}
-    for member, root in s.g_hook_op.items():
-        assert root in anc[member]
+    assert component_of(s, "f") == {"f", "g", "h"}
 
 
 # One corruption of the worked example per mismatch class, each pinned to
