@@ -10,7 +10,8 @@ workload in BENCHMARK.json and each of the fixed seeds,
 ``run_seconds``, in alternating order, one run at a time.  The output
 holds, per workload and side, the median of each end-to-end metric,
 every run's values, the failed-request count and the host-speed probe,
-plus the commits and the Python version.
+plus the commits, the Python version and each side's line count of
+``src/operadix/*.py`` (as ``wc -l`` counts it).
 
 The file is a trajectory, not evidence for a speed claim: a claim
 still needs its own alternating pairs, with seeds not used during
@@ -62,6 +63,10 @@ def copy_worktree(into: Path) -> str:
     return git("rev-parse", "HEAD") + (" + working tree" if dirty else "")
 
 
+def src_lines(checkout: Path) -> int:
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "operadix").glob("*.py"))
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -104,6 +109,7 @@ def main(argv=None) -> int:
         parent_commit = export_commit(args.parent, parent_dir)
         change_commit = copy_worktree(change_dir)
         sides = {"parent": parent_dir, "change": change_dir}
+        lines = {side: src_lines(checkout) for side, checkout in sides.items()}
         runs: dict[str, dict[str, list[dict]]] = {}
         for workload in (w["name"] for w in BENCHMARK["workloads"]):
             runs[workload] = {"parent": [], "change": []}
@@ -120,6 +126,7 @@ def main(argv=None) -> int:
         "change_commit": change_commit,
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "src_lines": lines,
         "seconds": seconds,
         "seeds": list(SEEDS),
         "order": "alternating, parent first on even turns",

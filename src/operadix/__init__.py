@@ -92,8 +92,6 @@ from .tree_oracle import (
     elementary,
     format_tree,
     graft,
-    labels,
-    leaf_count,
 )
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 from .core import BoundsError, Config, GuardFailed, OperadId, Position, StateFormatError
 from .flat_machine import FlatState, compose_seq_with_witness, empty_state, new_operad
-from .serialize import SECTIONS, dump_state, load_state, state_to_json
+from .serialize import SECTIONS, _read_entries, _state_from_entries, dump_state, state_to_json
 
 _SYMBOL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -186,31 +186,12 @@ _EXTRA_SECTIONS = ("alphabet", "inx", "outx")
 
 
 def load_decorated(text: str, config: Config | None = None) -> DecoratedState:
-    base_lines: list[str] = []
-    extra_lines: list[tuple[int, str, str]] = []
-    section: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("[") and line.endswith("]") and line[1:-1] in _EXTRA_SECTIONS:
-            section = line[1:-1]
-            continue
-        if line.startswith("[") and line.endswith("]") and line[1:-1] in SECTIONS:
-            section = None
-        if section is None:
-            base_lines.append(raw)
-            continue
-        if not line:
-            continue
-        prefix = f"{section}: "
-        if not line.startswith(prefix):
-            raise StateFormatError(f"line {lineno}: expected a {section!r} entry, got {line!r}")
-        extra_lines.append((lineno, section, line[len(prefix):]))
-
-    base = load_state("\n".join(base_lines), config)
+    entries = list(_read_entries(text, SECTIONS + _EXTRA_SECTIONS))
+    base = _state_from_entries((e for e in entries if e[1] in SECTIONS), config)
     alphabet: tuple[str, ...] | None = None
     in_op_x: dict[str, dict[int, str]] = {}
     out_op_x: dict[str, str] = {}
-    for lineno, section, body in extra_lines:
+    for lineno, section, body in entries:
         if section == "alphabet":
             if alphabet is not None:
                 raise StateFormatError(f"line {lineno}: alphabet given twice")
@@ -233,7 +214,7 @@ def load_decorated(text: str, config: Config | None = None) -> DecoratedState:
                         raise StateFormatError(f"line {lineno}: slot {pos} decorated twice")
                     decor[pos] = symbol
             in_op_x[op] = decor
-        else:
+        elif section == "outx":
             m = _OUTX_RE.match(body)
             if not m:
                 raise StateFormatError(f"line {lineno}: malformed outx entry {body!r}")

@@ -24,13 +24,27 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Config, ElaborationError, ParseError
 from .flat_machine import ComposeSeq, Event, NewOperad
 
-_COMPOSE_RE = re.compile(r"o_\d+\Z")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"\d+")
+# One alternative per token kind, tried in order.  o_ and o_<digits>
+# are operators only when no id character follows, so o_12x is an id.
+# A comment that runs to the end of input is part of the eof match,
+# so end of input sits at the comment's column.
+_TOKEN_RE = re.compile(
+    r"""(?P<newline>\n)
+      | (?P<eof>(?:\#[^\n]*)?\Z)
+      | (?P<skip>[ \t\r]+|\#[^\n]*)
+      | (?P<int>[0-9]+)
+      | (?P<compose>o_[0-9]+(?![A-Za-z0-9_]))
+      | (?P<at>@|o_(?![A-Za-z0-9_]))
+      | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<colon>:) | (?P<semi>;) | (?P<lparen>\() | (?P<rparen>\))
+      | (?P<bad>.)""",
+    re.VERBOSE,
+)
 
 MAX_DEPTH = 200
 
@@ -56,8 +70,7 @@ class Declaration:
     arity: int
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):  # not a frozen dataclass: one is built per token
     kind: str
     value: str | int
     line: int
@@ -66,56 +79,19 @@ class _Token:
 
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch == "@":
-            tokens.append(_Token("at", "@", line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in ":;()":
-            kind = {":": "colon", ";": "semi", "(": "lparen", ")": "rparen"}[ch]
-            tokens.append(_Token(kind, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _INT_RE.match(source, i)
-        if m and m.start() == i:
-            text = m.group()
-            tokens.append(_Token("int", int(text), line, col))
-            i += len(text)
-            col += len(text)
-            continue
-        m = _IDENT_RE.match(source, i)
-        if m and m.start() == i:
-            text = m.group()
-            if _COMPOSE_RE.match(text):
-                tokens.append(_Token("compose", int(text[2:]), line, col))
-            elif text == "o_":
-                tokens.append(_Token("at", text, line, col))
-            else:
-                tokens.append(_Token("id", text, line, col))
-            i += len(text)
-            col += len(text)
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(source):
+        kind, text = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        elif kind == "eof":
+            break
+        elif kind != "skip":
+            value = int(text.removeprefix("o_")) if kind in ("int", "compose") else text
+            tokens.append(_Token(kind, value, line, col))
     tokens.append(_Token("eof", "", line, col))
     return tokens
 

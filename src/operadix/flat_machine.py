@@ -155,9 +155,9 @@ def new_operad(state: FlatState, op_id: OperadId, arity: int, outs: int = 1) -> 
         raise GuardFailed("g1", f"operad count is at the max_oprd bound {cfg.max_oprd}")
     if op_id in state.my_operads:
         raise GuardFailed("g3", f"operad {op_id!r} already exists")
-    if not 1 <= arity <= cfg.max_args:
+    if type(arity) is not int or not 1 <= arity <= cfg.max_args:
         raise GuardFailed("g4", f"arity must be in 1..{cfg.max_args}, got {arity}")
-    if not 1 <= outs <= cfg.max_out:
+    if type(outs) is not int or not 1 <= outs <= cfg.max_out:
         raise GuardFailed("g6", f"output count must be in 1..{cfg.max_out}, got {outs}")
     if len(state.foliage) + arity > cfg.max_fol:
         raise GuardFailed(
@@ -271,7 +271,7 @@ def compose_seq_with_witness(
     hat2 = index.hats.get(op2, {})
     if hat2.keys() != foliage2:
         hat2 = {p: member for p, member in hat2.items() if p in foliage2}
-    if ii not in hat1:
+    if type(ii) is not int or ii not in hat1:
         raise GuardFailed("rg72", f"position {ii} is not an open slot of the composite rooted at {op1!r}")
     hat_op_ii = hat1[ii]
     if hat_op_ii not in hooked1:

@@ -13,16 +13,17 @@ separately, defaulting to the standard bounds.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator
 
 from .core import Config, StateFormatError, is_operad_id
-from .flat_machine import FlatState, empty_state
+from .flat_machine import FlatState
 
 SECTIONS = ("operads", "arity", "foliage", "in", "out", "hat", "hook", "ghook")
 
-_ARITY_RE = re.compile(r"([A-Za-z0-9_]+)->(\d+)\Z")
-_PAIR_RE = re.compile(r"\((\d+),([A-Za-z0-9_]+)\)\Z")
+_ARITY_RE = re.compile(r"([A-Za-z0-9_]+)->([0-9]+)\Z")
+_PAIR_RE = re.compile(r"\(([0-9]+),([A-Za-z0-9_]+)\)\Z")
 _SET_RE = re.compile(r"([A-Za-z0-9_]+)->\{([0-9,]*)\}\Z")
-_HAT_RE = re.compile(r"\((\d+),([A-Za-z0-9_]+)\)->([A-Za-z0-9_]+)\Z")
+_HAT_RE = re.compile(r"\(([0-9]+),([A-Za-z0-9_]+)\)->([A-Za-z0-9_]+)\Z")
 _MAP_RE = re.compile(r"([A-Za-z0-9_]+)->([A-Za-z0-9_]+)\Z")
 
 
@@ -58,6 +59,32 @@ def _parse_positions(text: str, lineno: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def _read_entries(text: str, sections: tuple[str, ...]) -> Iterator[tuple[int, str, str]]:
+    """Yield (lineno, section, body) for each entry line of a dump.
+
+    Blank lines and ``#`` comments are skipped, and a header must name
+    one of ``sections``.  This is the line grammar of every dump; the
+    callers parse the bodies.
+    """
+    section: str | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1]
+            if name not in sections:
+                raise StateFormatError(f"line {lineno}: unknown section [{name}]")
+            section = name
+            continue
+        if section is None:
+            raise StateFormatError(f"line {lineno}: entry before any section header")
+        prefix = f"{section}: "
+        if not line.startswith(prefix):
+            raise StateFormatError(f"line {lineno}: expected a {section!r} entry, got {line!r}")
+        yield lineno, section, line[len(prefix):]
+
+
 def load_state(text: str, config: Config | None = None) -> FlatState:
     """Parse a dump back into a state.
 
@@ -65,7 +92,11 @@ def load_state(text: str, config: Config | None = None) -> FlatState:
     machine invariants on purpose, that is what check_invariants is
     for.
     """
-    state = empty_state(config)
+    return _state_from_entries(_read_entries(text, SECTIONS), config)
+
+
+def _state_from_entries(entries: Iterable[tuple[int, str, str]], config: Config | None = None) -> FlatState:
+    """The state of the base-section entries that _read_entries yields."""
     my_operads: set[str] = set()
     arity_op: dict[str, int] = {}
     foliage: set[tuple[int, str]] = set()
@@ -75,24 +106,7 @@ def load_state(text: str, config: Config | None = None) -> FlatState:
     hook_op: dict[str, str] = {}
     g_hook_op: dict[str, str] = {}
 
-    section: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1]
-            if name not in SECTIONS:
-                raise StateFormatError(f"line {lineno}: unknown section [{name}]")
-            section = name
-            continue
-        if section is None:
-            raise StateFormatError(f"line {lineno}: entry before any section header")
-        prefix = f"{section}: "
-        if not line.startswith(prefix):
-            raise StateFormatError(f"line {lineno}: expected a {section!r} entry, got {line!r}")
-        body = line[len(prefix):]
-
+    for lineno, section, body in entries:
         if section == "operads":
             if not is_operad_id(body):
                 raise StateFormatError(f"line {lineno}: bad operad id {body!r}")
@@ -143,7 +157,7 @@ def load_state(text: str, config: Config | None = None) -> FlatState:
             target[op] = m.group(2)
 
     return FlatState(
-        config=state.config,
+        config=config or Config(),
         my_operads=frozenset(my_operads),
         arity_op=arity_op,
         foliage=frozenset(foliage),

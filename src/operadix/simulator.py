@@ -8,8 +8,8 @@ sampler draws from a seeded Mersenne Twister and never iterates an
 unordered container, so the same config always produces the same
 report, byte for byte.
 
-When no weighted event can fire on the current state, the state is
-recorded and reset, and exploration continues from scratch; the count
+When no event can fire on the current state, the state is recorded
+and reset, and exploration continues from scratch; the count
 and the stuck states end up in the report, and a reset marker lands in
 the trace.  The full trace of a run, markers included, replays to the
 same final state through replay().
@@ -20,7 +20,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 from .core import Config, GuardFailed, OverflowFoliage, StateFormatError
 from .flat_machine import (
@@ -35,13 +34,13 @@ from .flat_machine import (
     empty_state,
     foliage_of,
     new_operad,
+    roots,
 )
 from .serialize import dump_state
 from .tree_oracle import TreeOperad, compare_with_flat, elementary, graft
 
 RNG_NAME = "mt19937"
-
-_EVENT_NAMES = ("new_operad", "compose_seq")
+_DIGITS = frozenset("0123456789")
 
 
 @dataclass(frozen=True)
@@ -52,16 +51,11 @@ class TraceReset:
     """
 
 
-def _default_weights() -> dict[str, float]:
-    return {"new_operad": 1.0, "compose_seq": 1.0}
-
-
 @dataclass(frozen=True)
 class SimConfig:
     seed: int
     max_steps: int
     config: Config = field(default_factory=Config)
-    event_weights: dict[str, float] = field(default_factory=_default_weights)
     oracle_check_every: int = 0
 
     def __post_init__(self) -> None:
@@ -69,13 +63,6 @@ class SimConfig:
             raise ValueError(f"max_steps must be positive, got {self.max_steps}")
         if self.oracle_check_every < 0:
             raise ValueError("oracle_check_every must be non-negative")
-        for name, weight in self.event_weights.items():
-            if name not in _EVENT_NAMES:
-                raise ValueError(f"unknown event {name!r} in weights")
-            if weight < 0:
-                raise ValueError(f"weight for {name!r} must be non-negative")
-        if not any(w > 0 for w in self.event_weights.values()):
-            raise ValueError("at least one event weight must be positive")
 
 
 @dataclass(frozen=True)
@@ -112,16 +99,6 @@ def run(sim: SimConfig) -> SimReport:
     mirrors: dict[str, TreeOperad] = {}
     track_mirrors = sim.oracle_check_every > 0
 
-    weights = {name: w for name, w in sim.event_weights.items() if w > 0}
-    names = sorted(weights)
-    # rng.choices accumulates the weights on every call; the two candidate
-    # lists are fixed, so their running sums are taken once here
-    draw_all = (names, list(accumulate(weights[n] for n in names)))
-    creatable = [n for n in names if n == "new_operad"]
-    draw_new = (creatable, list(accumulate(weights[n] for n in creatable)))
-    creates = "new_operad" in weights
-    composes = "compose_seq" in weights
-
     fired: dict[str, int] = {}
     guard_failures: dict[str, int] = {}
     violations: list[Violation] = []
@@ -133,13 +110,11 @@ def run(sim: SimConfig) -> SimReport:
     next_id = 0
 
     while fired_count < sim.max_steps:
-        root_list = sorted(state.my_operads.difference(state.g_hook_op))
+        root_list = roots(state)
         # g28 cannot fire here: Config makes max_fol >= max_oprd * max_args
         can_create = len(state.my_operads) < cfg.max_oprd
         can_compose = len(root_list) >= 2
-        if not (creates and can_create or composes and can_compose):
-            if not state.my_operads:
-                break
+        if not (can_create or can_compose):
             deadlock_resets += 1
             deadlock_dumps.append(dump_state(state))
             trace.append(TraceReset())
@@ -147,16 +122,16 @@ def run(sim: SimConfig) -> SimReport:
             mirrors = {}
             continue
 
-        # compose parameters cannot even be drawn without two roots
-        candidates, cum_weights = draw_all if can_compose else draw_new
-        name = rng.choices(candidates, cum_weights=cum_weights)[0]
-        if name == "new_operad":
-            event: Event = NewOperad(f"op{next_id}", rng.randint(1, cfg.max_args), 1)
-        else:
+        # toss on every draw: testing can_compose first would change the random stream
+        if rng.random() < 0.5 and can_compose:
+            name = "compose_seq"
             op1 = rng.choice(root_list)
             op2 = rng.choice([op for op in root_list if op != op1])
             ii = rng.choice(foliage_of(state, op1))
-            event = ComposeSeq(op1, ii, op2)
+            event: Event = ComposeSeq(op1, ii, op2)
+        else:
+            name = "new_operad"
+            event = NewOperad(f"op{next_id}", rng.randint(1, cfg.max_args), 1)
 
         witness = None
         try:
@@ -250,9 +225,9 @@ def parse_trace(text: str) -> list[Event | TraceReset]:
         fields = line.split()
         if fields == ["reset"]:
             events.append(TraceReset())
-        elif fields[0] == "new" and len(fields) == 4 and fields[2].isdigit() and fields[3].isdigit():
+        elif fields[0] == "new" and len(fields) == 4 and _DIGITS.issuperset(fields[2] + fields[3]):
             events.append(NewOperad(fields[1], int(fields[2]), int(fields[3])))
-        elif fields[0] == "compose" and len(fields) == 4 and fields[2].isdigit():
+        elif fields[0] == "compose" and len(fields) == 4 and _DIGITS.issuperset(fields[2]):
             events.append(ComposeSeq(fields[1], int(fields[2]), fields[3]))
         else:
             raise StateFormatError(f"trace line {lineno}: cannot parse {raw.strip()!r}")

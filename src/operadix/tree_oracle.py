@@ -46,8 +46,8 @@ class TreeOperad:
     def _walked(self) -> tuple[FlatView, dict[OperadId, int]]:
         """_walk of this tree, done once: the tree is immutable.
 
-        Shared by every comparison against this tree; callers must not
-        mutate it.
+        Shared by every comparison against this tree and every graft
+        of it; callers must not mutate it.
         """
         return _walk(self)
 
@@ -58,24 +58,14 @@ def elementary(label: OperadId, arity: int) -> TreeOperad:
     return TreeOperad(label, (LEAF,) * arity)
 
 
-def leaf_count(tree: TreeOperad) -> int:
-    return sum(leaf_count(c) if isinstance(c, TreeOperad) else 1 for c in tree.children)
-
-
-def labels(tree: TreeOperad) -> frozenset[OperadId]:
-    out = {tree.label}
-    for child in tree.children:
-        if isinstance(child, TreeOperad):
-            out |= labels(child)
-    return frozenset(out)
-
-
 def graft(tree1: TreeOperad, ii: Position, tree2: TreeOperad) -> TreeOperad:
     """Replace the ii-th leaf of tree1 (counting from 1) with tree2."""
-    total = leaf_count(tree1)
+    # the cached walks: a tree's leaves are its foliage, its labels the in_map keys
+    view1, view2 = tree1._walked[0], tree2._walked[0]
+    total = len(view1.foliage)
     if not 1 <= ii <= total:
         raise BoundsError(f"leaf {ii} does not exist, tree has {total} leaves")
-    shared = labels(tree1) & labels(tree2)
+    shared = view1.in_map.keys() & view2.in_map.keys()
     if shared:
         raise DuplicateLabels(f"labels on both sides: {', '.join(sorted(shared))}")
 

@@ -21,18 +21,13 @@ from operadix import (
     Declaration,
     SimConfig,
     check_gluing,
-    compare_with_flat,
     compose_seq,
-    compose_seq_with_witness,
-    composition_law_violations,
     dump_state,
     elaborate,
-    elementary,
     empty_decorated,
     empty_state,
     erase,
     foliage_of,
-    graft,
     in_map_of,
     hat_map_of,
     hook_map_of,
@@ -110,63 +105,12 @@ def criterion(announce, number, title):
     announce(f"criterion-{number} {title}: PASS ({time.perf_counter() - started:.2f}s)")
 
 
-def oracle_sequence(seed):
-    """One random machine run mirrored on trees, checked after every event.
-
-    Returns (composes, mismatches, law_labels): mismatch strings from
-    the tree comparison and violated law labels from each grafting.
-    """
-    rng = random.Random(seed)
-    state = empty_state()
-    mirrors = {}
-    mismatches = []
-    law_labels = []
-    composes = 0
-
-    def verify():
-        for root_id in sorted(mirrors):
-            mismatches.extend(compare_with_flat(state, root_id, mirrors[root_id]))
-
-    for k in range(rng.randint(2, 7)):
-        arity = rng.randint(1, 6)
-        op = f"n{k}"
-        state = new_operad(state, op, arity)
-        mirrors[op] = elementary(op, arity)
-        verify()
-    for _ in range(rng.randint(1, 6)):
-        root_list = sorted(roots(state))
-        if len(root_list) < 2:
-            break
-        op1 = rng.choice(root_list)
-        op2 = rng.choice([op for op in root_list if op != op1])
-        ii = rng.choice(foliage_of(state, op1))
-        state, witness = compose_seq_with_witness(state, op1, ii, op2)
-        composes += 1
-        law_labels.extend(composition_law_violations(state, witness))
-        if len(foliage_of(state, op1)) != witness.cardfol1 + witness.cardfol2 - 1:
-            law_labels.append("law-size")
-        mirrors[op1] = graft(mirrors[op1], ii, mirrors.pop(op2))
-        verify()
-    return composes, mismatches, law_labels
-
-
 @lru_cache(maxsize=None)
 def oracle_harness():
+    """1000 short simulator runs, each mirrored on trees and compared after every event."""
     started = time.perf_counter()
-    composes = 0
-    mismatches = []
-    law_labels = []
-    for seed in range(1000):
-        c, mm, ll = oracle_sequence(seed)
-        composes += c
-        mismatches.extend(mm)
-        law_labels.extend(ll)
-    return {
-        "composes": composes,
-        "mismatches": mismatches,
-        "law_labels": law_labels,
-        "elapsed": time.perf_counter() - started,
-    }
+    reports = [run(SimConfig(seed, max_steps=12, oracle_check_every=1)) for seed in range(1000)]
+    return reports, time.perf_counter() - started
 
 
 @lru_cache(maxsize=None)
@@ -207,10 +151,11 @@ def test_criterion_2_binary_example(announce):
 
 def test_criterion_3_oracle_equivalence(announce):
     with criterion(announce, 3, "tree-oracle equivalence over 1000 seeds"):
-        harness = oracle_harness()
-        assert harness["mismatches"] == []
-        assert harness["composes"] > 1000  # the harness did real work
-        assert harness["elapsed"] < 30.0
+        reports, elapsed = oracle_harness()
+        assert not [v for r in reports for v in r.violations if v.kind == "oracle"]
+        assert all(r.oracle_checks == r.steps for r in reports)
+        assert sum(r.fired.get("compose_seq", 0) for r in reports) > 1000  # the harness did real work
+        assert elapsed < 30.0
 
 
 def test_criterion_4_invariant_endurance(announce):
@@ -238,7 +183,7 @@ def test_criterion_5_axiom_sweeps(announce):
 def test_criterion_6_arity_laws_embedded(announce):
     with criterion(announce, 6, "foliage-size and arity-sum laws in runs 3-4"):
         report, _ = endurance_run()
-        assert oracle_harness()["law_labels"] == []
+        assert not [v for r in oracle_harness()[0] for v in r.violations if v.kind == "law"]
         assert not [v for v in report.violations if v.kind == "law"]
         assert report.fired.get("compose_seq", 0) > 0
 

@@ -91,6 +91,25 @@ def test_compose_reports_guard_failure(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: [{label}] ")
 
 
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("compose", "new f ² 1\n"),  # "²".isdigit() is true, int("²") fails
+        ("compose", "new f 2 1\nnew g 1 1\ncompose f ² g\n"),
+        ("compose", "new f ١ 1\n"),  # int("١") is 1
+        ("parse", "f:١; f\n"),
+        ("check", expected_dump().replace("arity: f->4", "arity: f->١")),
+        ("check", expected_dump().replace("foliage: (1,f)", "foliage: (١,f)")),
+    ],
+)
+def test_only_ascii_digits_are_numbers(tmp_path, capsys, command, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_check_clean_state(dump_file, capsys):
     assert main(["check", dump_file]) == 0
     assert capsys.readouterr().out == "ok\n"

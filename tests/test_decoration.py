@@ -210,6 +210,25 @@ def test_load_decorated_rejects_malformed(text):
         load_decorated(text)
 
 
+def test_load_decorated_reports_true_line_numbers():
+    # the [alphabet] block comes first and line 10 is corrupt
+    text = (
+        "[alphabet]\nalphabet: a,b,c,d,e,f\n[inx]\ninx: f->{1:a,2:b}\n[outx]\noutx: f->a\n"
+        "[operads]\noperads: f\n[arity]\narity: f->two\n[foliage]\nfoliage: (1,f)\n"
+    )
+    with pytest.raises(StateFormatError, match=r"^line 10: malformed arity entry"):
+        load_decorated(text)
+    with pytest.raises(StateFormatError, match=r"^line 3: expected a 'alphabet' entry"):
+        load_decorated("[operads]\n[alphabet]\nbroken\n")
+
+
+def test_load_decorated_skips_comments_in_every_section():
+    text = dump_decorated(decorated_pair())
+    commented = text.replace("[inx]\n", "[inx]\n# note\n").replace("[outx]\n", "[outx]\n  # x\n")
+    commented = commented.replace("[alphabet]\n", "[alphabet]\n#\n")
+    assert load_decorated(commented) == decorated_pair()
+
+
 def test_decorated_to_json():
     data = decorated_to_json(decorated_pair())
     assert data["alphabet"] == ["a", "b", "c", "d", "e", "f"]

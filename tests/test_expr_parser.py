@@ -79,6 +79,32 @@ def test_parse_errors_carry_position(src, line, col):
     assert (err.value.line, err.value.col) == (line, col)
 
 
+@pytest.mark.parametrize(
+    "src,message",
+    [
+        ("f:2;\tf $ g", "1:8: unexpected character '$'"),  # a tab is one column
+        ("\t\t$", "1:3: unexpected character '$'"),
+        ("f:2; f\r$", "1:8: unexpected character '$'"),  # so is a lone \r
+        ("f:2;\r\ng:1;\r\nf o_1 g $", "3:9: unexpected character '$'"),
+        ("f:2; f é", "1:8: unexpected character 'é'"),
+        ("f:2; f\x00", "1:7: unexpected character '\\x00'"),
+        ("f:1; f o_1 ²", "1:12: unexpected character '²'"),
+        ("f:١; f", "1:3: unexpected character '١'"),  # numbers are ASCII digits only
+        ("f:2; g:1; f o_١ g", "1:15: unexpected character '١'"),
+        ("f:2; g:1; f @٢ g", "1:14: unexpected character '٢'"),
+        # end of input after a trailing comment sits at the comment
+        ("f:1; # x", "1:6: expected an expression, got end of input"),
+        ("f:1; f o_1 # c", "1:12: expected an expression, got end of input"),
+        ("f:1; f o_1 # c\n", "2:1: expected an expression, got end of input"),
+        ("f:2; (f # open\n", "2:1: expected ')', got end of input"),
+    ],
+)
+def test_lexer_error_positions(src, message):
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert str(err.value) == message
+
+
 def test_print_expr_fully_parenthesized():
     _, expr = parse("f:4; g:3; h:3; (f o_2 g) o_4 h")
     assert print_expr(expr) == "((f o_2 g) o_4 h)"

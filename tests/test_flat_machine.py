@@ -93,6 +93,26 @@ def test_new_operad_guards():
     assert guard_label(new_operad, s, "g", 2, 7) == "g6"
 
 
+@pytest.mark.parametrize(
+    "event,label",
+    [
+        (NewOperad("h", True), "g4"),
+        (NewOperad("h", 2.0), "g4"),
+        (NewOperad("h", 2, True), "g6"),
+        (NewOperad("h", 2, 1.0), "g6"),
+        (ComposeSeq("f", 2.0, "g"), "rg72"),
+        (ComposeSeq("f", True, "g"), "rg72"),
+    ],
+)
+def test_guards_take_only_int_arities_and_positions(event, label):
+    # 2.0 and True compare equal to 2 and 1, so only the type keeps them
+    # out of the state, where their dump would not load back
+    s = build(NewOperad("f", 3), NewOperad("g", 2))
+    with pytest.raises(GuardFailed) as err:
+        apply_event(s, event)
+    assert err.value.label == label
+
+
 def test_new_operad_count_bound():
     s = empty_state()
     for k in range(8):

@@ -36,6 +36,7 @@ from operadix import (
     check_invariants,
     compare_with_flat,
     component_of,
+    derive_flat_view,
     elementary,
     empty_state,
     foliage_of,
@@ -43,7 +44,6 @@ from operadix import (
     hat_map_of,
     hook_map_of,
     in_map_of,
-    leaf_count,
     run,
 )
 
@@ -165,7 +165,7 @@ def plan_states(plan):
         else:
             op1 = roots[a % len(roots)]
             others = [r for r in roots if r != op1]
-            event = ComposeSeq(op1, 1 + slot % leaf_count(mirrors[op1]), others[b % len(others)])
+            event = ComposeSeq(op1, 1 + slot % len(derive_flat_view(mirrors[op1]).foliage), others[b % len(others)])
         try:
             state = apply_event(state, event)
         except GuardFailed:

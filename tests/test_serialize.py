@@ -112,6 +112,8 @@ def test_load_tolerates_blank_lines_and_comments():
         "operads: f\n",  # entry before any section
         "[operads]\noperads f\n",  # missing colon
         "[arity]\narity: f->x\n",
+        "[arity]\narity: f->١\n",  # numbers are ASCII digits only
+        "[hat]\nhat: (١,f)->f\n",
         "[foliage]\nfoliage: 1,f\n",
         "[in]\nin: f->{1,\n",
         "[hat]\nhat: (1,f)f\n",

@@ -19,8 +19,6 @@ from operadix import (
     empty_state,
     format_tree,
     graft,
-    labels,
-    leaf_count,
 )
 
 
@@ -35,8 +33,9 @@ def test_elementary():
     assert t.label == "f"
     assert len(t.children) == 3
     assert all(c is LEAF for c in t.children)
-    assert leaf_count(t) == 3
-    assert labels(t) == {"f"}
+    view = derive_flat_view(t)
+    assert view.foliage == (1, 2, 3)
+    assert set(view.in_map) == {"f"}
 
 
 def test_elementary_needs_positive_arity():
@@ -58,8 +57,9 @@ def test_format_tree_numbers_leaves():
 
 def test_graft_counts_leaves_across_subtrees():
     t = nested_tree()
-    assert leaf_count(t) == 8
-    assert labels(t) == {"f", "g", "h"}
+    view = derive_flat_view(t)
+    assert view.foliage == tuple(range(1, 9))
+    assert set(view.in_map) == {"f", "g", "h"}
     # position 7 is back in f's own slots, after g's subtree
     t2 = graft(t, 7, elementary("k", 2))
     assert format_tree(t2) == "f(1,g(2,3,h(4,5,6)),k(7,8),9)"
@@ -134,7 +134,7 @@ def test_leaf_count_law():
         for m in SMALL:
             for i in range(1, n + 1):
                 t = graft(elementary("f", n), i, elementary("g", m))
-                assert leaf_count(t) == n + m - 1
+                assert len(derive_flat_view(t).foliage) == n + m - 1
 
 
 def machine_nested_state():
