@@ -13,6 +13,13 @@ every run's values, the failed-request count and the host-speed probe,
 plus the commits, the Python version and each side's line count of
 ``src/operadix/*.py`` (as ``wc -l`` counts it).
 
+It also records, per side, the wall time of acceptance criteria 4
+(``run(SimConfig(seed=2024, max_steps=100_000))``) and 5 (the three
+sweeps at ``(2, 2)``, ``(2, 2)`` and ``(2, 3)``): each runs in a fresh
+``python3`` with that side's ``src/`` on ``PYTHONPATH``, sides
+alternating, and the best of three runs is kept.  Only the call is
+timed, not the import.
+
 The file is a trajectory, not evidence for a speed claim: a claim
 still needs its own alternating pairs, with seeds not used during
 development.  Standard library only; nothing under perfbench/ changes.
@@ -23,6 +30,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import platform
 import re
 import shutil
@@ -37,6 +45,18 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 PROBE_RE = re.compile(r"host_probe_ms before ([0-9.]+) after ([0-9.]+)")
 SEEDS = (1, 2, 3, 4, 5)
+CRITERIA = {
+    "criterion_4": "run(SimConfig(seed=2024, max_steps=100_000))",
+    "criterion_5": "sweep_sequential(2, 2), sweep_parallel(2, 2), sweep_identity(2, 3)",
+}
+CRITERION_ROUNDS = 3
+TIMER = """\
+import time
+from operadix import SimConfig, run, sweep_identity, sweep_parallel, sweep_sequential
+started = time.perf_counter()
+{call}
+print(time.perf_counter() - started)
+"""
 
 
 def git(*args: str) -> str:
@@ -87,6 +107,33 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
+def criterion_seconds(checkout: Path, call: str) -> float:
+    """Wall time of one criterion call in a fresh interpreter on checkout/src."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", TIMER.format(call=call)], cwd=checkout, env=env, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"criterion run in {checkout} failed:\n{proc.stderr}")
+    return float(proc.stdout.strip().splitlines()[-1])
+
+
+def time_criteria(sides: dict[str, Path]) -> dict[str, dict[str, dict]]:
+    """Best and every wall time per criterion and side, sides alternating."""
+    times: dict[str, dict[str, list[float]]] = {name: {side: [] for side in sides} for name in CRITERIA}
+    for turn in range(CRITERION_ROUNDS):
+        order = list(sides) if turn % 2 == 0 else list(reversed(sides))
+        for name, call in CRITERIA.items():
+            for side in order:
+                seconds = criterion_seconds(sides[side], call)
+                times[name][side].append(seconds)
+                print(f"{name} {side}: {seconds:.3f} s", file=sys.stderr)
+    return {
+        name: {side: {"best_s": min(runs), "runs_s": runs} for side, runs in by_side.items()}
+        for name, by_side in times.items()
+    }
+
+
 def summarize(runs: list[dict]) -> dict:
     names = [metric["name"] for metric in BENCHMARK["end_to_end"]]
     return {
@@ -110,6 +157,7 @@ def main(argv=None) -> int:
         change_commit = copy_worktree(change_dir)
         sides = {"parent": parent_dir, "change": change_dir}
         lines = {side: src_lines(checkout) for side, checkout in sides.items()}
+        criteria = time_criteria(sides)
         runs: dict[str, dict[str, list[dict]]] = {}
         for workload in (w["name"] for w in BENCHMARK["workloads"]):
             runs[workload] = {"parent": [], "change": []}
@@ -127,6 +175,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "src_lines": lines,
+        "criteria": criteria,
         "seconds": seconds,
         "seeds": list(SEEDS),
         "order": "alternating, parent first on even turns",

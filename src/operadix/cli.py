@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .core import BoundsError, Config, OperadError, config_from_entries, parse_config_entries
@@ -40,6 +41,16 @@ class _UsageError(OperadError):
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 for usage problems, not argparse's 2
         raise _UsageError(message)
+
+
+_INT_RE = re.compile(r"-?[0-9]+\Z")
+
+
+def _int(text: str) -> int:
+    """The type of every integer flag: an optional minus and ASCII digits."""
+    if not _INT_RE.match(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _read(path: str) -> str:
@@ -195,10 +206,10 @@ def cmd_export(args, cfg: Config) -> int:
 def build_parser() -> _ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="bounds file with key=value lines")
-    common.add_argument("--max-args", type=int, help="override max_args")
-    common.add_argument("--max-out", type=int, help="override max_out")
-    common.add_argument("--max-oprd", type=int, help="override max_oprd")
-    common.add_argument("--max-fol", type=int, help="override max_fol")
+    common.add_argument("--max-args", type=_int, help="override max_args")
+    common.add_argument("--max-out", type=_int, help="override max_out")
+    common.add_argument("--max-oprd", type=_int, help="override max_oprd")
+    common.add_argument("--max-fol", type=_int, help="override max_fol")
     common.add_argument("--json", action="store_true", help="JSON output")
 
     parser = _ArgumentParser(prog="operadix", description="operads as data")
@@ -217,20 +228,20 @@ def build_parser() -> _ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("simulate", parents=[common], help="randomized machine exploration")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--oracle-every", type=int, default=0,
+    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--steps", type=_int, default=1000)
+    p.add_argument("--oracle-every", type=_int, default=0,
                    help="cross-check against mirror trees every N fired events")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("axioms", parents=[common], help="exhaustive axiom sweeps on finite functions")
-    p.add_argument("--carrier", type=int, default=2)
-    p.add_argument("--max-arity", type=int, default=2)
+    p.add_argument("--carrier", type=_int, default=2)
+    p.add_argument("--max-arity", type=_int, default=2)
     p.set_defaults(func=cmd_axioms)
 
     p = sub.add_parser("eval", parents=[common], help="evaluate a program over finite functions")
     p.add_argument("file")
-    p.add_argument("--carrier", type=int, default=None)
+    p.add_argument("--carrier", type=_int, default=None)
     p.add_argument("--fn", action="append", default=[],
                    metavar="NAME=CARRIER:TABLE", help="bind an atom to a function table")
     p.set_defaults(func=cmd_eval)

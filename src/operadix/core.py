@@ -22,6 +22,7 @@ Position = int
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _IDS_RE = re.compile(r"[A-Za-z0-9_]*\Z")
+_DIGITS_RE = re.compile(r"[0-9]+\Z")
 
 
 def is_operad_id(name: object) -> bool:
@@ -157,6 +158,7 @@ def parse_config_entries(text: str) -> dict[str, str]:
 def config_from_entries(entries: dict[str, str], **overrides: int | None) -> Config:
     """Build a Config from textual entries plus keyword overrides.
 
+    Values must be ASCII digits, as in programs, traces and dumps.
     Overrides with value None are ignored, so CLI flags can be passed
     through unconditionally.
     """
@@ -164,10 +166,9 @@ def config_from_entries(entries: dict[str, str], **overrides: int | None) -> Con
     for key, value in entries.items():
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        try:
-            fields[key] = int(value)
-        except ValueError:
-            raise ConfigError(f"config key {key!r} needs an integer, got {value!r}") from None
+        if not _DIGITS_RE.match(value):
+            raise ConfigError(f"config key {key!r} needs an integer, got {value!r}")
+        fields[key] = int(value)
     for key, value in overrides.items():
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")

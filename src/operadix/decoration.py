@@ -79,6 +79,9 @@ def new_operad_x(
     base = new_operad(state.base, op_id, arity, outs)
     if decor is None:
         decor = {p: state.alphabet[p - 1] for p in range(1, arity + 1)}
+    for slot in decor:
+        if type(slot) is not int:
+            raise GuardFailed("decor-domain", f"decoration slot {slot!r} is not an int")
     if set(decor) != set(range(1, arity + 1)):
         raise GuardFailed("decor-domain", f"decoration must cover slots 1..{arity}, got {sorted(decor)}")
     symbols = list(decor.values())

@@ -11,9 +11,11 @@ sweep can check exhaustively.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .core import BoundsError, CarrierMismatch
+from .expr_parser import Atom, Compose
 
 _TABLE_CAP = 1 << 20
 
@@ -164,62 +166,92 @@ def _guard_sweep_size(pool: list[FiniteFn]) -> None:
         )
 
 
+def _circ_once(pool: list[FiniteFn]):
+    """circ on value numbers, computing each distinct (f, ii, g) once.
+
+    Every value gets a number on first sight, the pool first in order,
+    and equal functions share one number, so numbers compare as the
+    functions do.  ``once(f, ii, g)`` takes and returns numbers; per
+    (f, ii) a dict maps the number of g to that of f o_ii g.  The memo
+    lives in the returned closure and dies with it.
+    """
+    values = list(pool)
+    number = {fn: n for n, fn in enumerate(values)}  # keyed on (carrier, arity, table)
+    made: defaultdict[tuple[int, int], dict[int, int]] = defaultdict(dict)
+
+    def once(f: int, ii: int, g: int) -> int:
+        known = made[f, ii]
+        n = known.get(g)
+        if n is None:
+            fn = circ(values[f], ii, values[g])
+            n = known[g] = number.setdefault(fn, len(values))
+            if n == len(values):
+                values.append(fn)
+        return n
+
+    return once
+
+
 def sweep_sequential(carrier: int, max_arity: int) -> SweepResult:
-    """Exhaustive sequential-axiom check over every function triple."""
+    """Exhaustive sequential-axiom check over every function triple.
+
+    Each distinct composite is computed once per call; nothing outlives it.
+    """
     pool = _function_pool(carrier, max_arity)
     _guard_sweep_size(pool)
-    # g o_jj h depends on neither f nor ii: once per (g, jj, h) for the whole sweep
-    gh_all = [[[circ(g, jj, h) for h in pool] for jj in range(1, g.arity + 1)] for g in pool]
+    once = _circ_once(pool)
     cases = 0
-    for f in pool:
-        for ii in range(1, f.arity + 1):
-            for g, gh_rows in zip(pool, gh_all):
-                fg = circ(f, ii, g)
-                for jj, gh_row in enumerate(gh_rows, start=1):
-                    for h, gh in zip(pool, gh_row):
+    for f, fn in enumerate(pool):
+        for ii in range(1, fn.arity + 1):
+            for g, gn in enumerate(pool):
+                for jj in range(1, gn.arity + 1):
+                    for h in range(len(pool)):
                         cases += 1
-                        # check_sequential_axiom with f o_ii g computed once per (f, ii, g)
-                        if circ(fg, ii - 1 + jj, h) != circ(f, ii, gh):
+                        # check_sequential_axiom on value numbers
+                        if once(once(f, ii, g), ii - 1 + jj, h) != once(f, ii, once(g, jj, h)):
                             return SweepResult(
                                 False,
                                 cases,
-                                f"f={format_fn(f)} g={format_fn(g)} h={format_fn(h)} ii={ii} jj={jj}",
+                                f"f={format_fn(fn)} g={format_fn(gn)} h={format_fn(pool[h])} ii={ii} jj={jj}",
                             )
     return SweepResult(True, cases)
 
 
 def sweep_parallel(carrier: int, max_arity: int) -> SweepResult:
-    """Exhaustive parallel-axiom check over every function triple."""
+    """Exhaustive parallel-axiom check over every function triple.
+
+    Each distinct composite is computed once per call; nothing outlives it.
+    """
     pool = _function_pool(carrier, max_arity)
     _guard_sweep_size(pool)
+    once = _circ_once(pool)
     cases = 0
-    for f in pool:
-        for ii in range(1, f.arity + 1):
-            for kk in range(ii + 1, f.arity + 1):
-                fh_all = [circ(f, kk, h) for h in pool]
-                for g in pool:
-                    fg = circ(f, ii, g)
-                    for h, fh in zip(pool, fh_all):
+    for f, fn in enumerate(pool):
+        for ii in range(1, fn.arity + 1):
+            for kk in range(ii + 1, fn.arity + 1):
+                for g, gn in enumerate(pool):
+                    for h in range(len(pool)):
                         cases += 1
-                        # check_parallel_axiom with f o_ii g computed once per (f, ii, g)
-                        # and f o_kk h once per (f, kk, h)
-                        if circ(fg, kk - 1 + g.arity, h) != circ(fh, ii, g):
+                        # check_parallel_axiom on value numbers
+                        if once(once(f, ii, g), kk - 1 + gn.arity, h) != once(once(f, kk, h), ii, g):
                             return SweepResult(
                                 False,
                                 cases,
-                                f"f={format_fn(f)} g={format_fn(g)} h={format_fn(h)} ii={ii} kk={kk}",
+                                f"f={format_fn(fn)} g={format_fn(gn)} h={format_fn(pool[h])} ii={ii} kk={kk}",
                             )
     return SweepResult(True, cases)
 
 
 def sweep_identity(carrier: int, max_arity: int) -> SweepResult:
-    """Identity laws for every function and every slot."""
+    """Identity laws for every function and every slot, with one identity per call."""
     pool = _function_pool(carrier, max_arity)
+    one = identity_fn(carrier)
     cases = 0
     for f in pool:
         for ii in range(1, f.arity + 1):
             cases += 1
-            if not check_identity_axiom(f, ii):
+            # check_identity_axiom with the identity built once
+            if circ(f, ii, one) != f or circ(one, 1, f) != f:
                 return SweepResult(False, cases, f"f={format_fn(f)} ii={ii}")
     return SweepResult(True, cases)
 
@@ -261,10 +293,9 @@ def interpret(expr, binding: dict[str, FiniteFn], declared: dict[str, int] | Non
 
     binding maps atom names to functions; declared, when given, maps
     names to the arity the program claimed, and mismatches are
-    rejected before any composition runs.
+    rejected before any composition runs.  Each Compose node is one
+    circ call; unlike the sweeps, nothing is memoized.
     """
-    from .expr_parser import Atom, Compose
-
     if declared:
         for name, arity in declared.items():
             if name in binding and binding[name].arity != arity:

@@ -278,6 +278,42 @@ def test_bad_config_file(tmp_path, program_file, capsys):
     assert main(["parse", "--config", str(cfg), program_file]) == 1
 
 
+@pytest.mark.parametrize("value", ["\u0661", " +8 ", "1_6"])
+def test_config_file_takes_only_ascii_digits(tmp_path, program_file, capsys, value):
+    cfg = tmp_path / "bounds.cfg"
+    cfg.write_text(f"max_oprd={value}\n", encoding="utf-8")
+    assert main(["parse", "--config", str(cfg), program_file]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key 'max_oprd' needs an integer") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--seed", "\u0661"],
+        ["simulate", "--steps", " +8 "],
+        ["simulate", "--oracle-every", "1_0"],
+        ["simulate", "--max-oprd", "\u00b2"],
+        ["simulate", "--max-args", "+4"],
+        ["axioms", "--carrier", "\u0662"],
+        ["axioms", "--max-arity", "1_0"],
+        ["eval", "-", "--carrier", "2 "],
+    ],
+)
+def test_integer_flags_take_only_ascii_digits(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "invalid int value" in err and "Traceback" not in err
+
+
+def test_integer_flags_take_a_minus_sign(capsys):
+    # the type accepts -?[0-9]+; the bounds are checked where they were before
+    assert main(["axioms", "--carrier", "-1"]) == 1
+    assert capsys.readouterr().err == "error: carrier must be in 1..4, got -1\n"
+    assert main(["axioms", "--carrier", "1", "--max-arity", "02"]) == 0
+    assert capsys.readouterr().out.startswith("sequential: OK (18 cases)")
+
+
 def test_usage_errors(capsys):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1

@@ -94,6 +94,13 @@ def test_config_from_entries_rejects_non_integer():
         config_from_entries({"max_args": "four"})
 
 
+@pytest.mark.parametrize("value", ["\u0661", " +8 ", "+8", "-1", "1_6", "\u00b2", "8 ", "0x10"])
+def test_config_from_entries_takes_only_ascii_digits(value):
+    # int() accepts all but "\u00b2" and "0x10", and reads 1_6 as 16
+    with pytest.raises(ConfigError, match="needs an integer"):
+        config_from_entries({"max_oprd": value})
+
+
 def test_config_from_entries_rejects_alphabet():
     # no command reads an alphabet from a config file: decorated dumps carry their own
     with pytest.raises(ConfigError, match="unknown config key 'alphabet'"):

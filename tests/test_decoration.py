@@ -94,6 +94,15 @@ def test_new_operad_x_guards():
     assert decoration_guard(new_operad_x, s, "f", 7) == "g3"
 
 
+@pytest.mark.parametrize("decor", [{True: "a", 2.0: "b"}, {1: "a", 2.0: "b"}, {True: "a", 2: "b"}])
+def test_new_operad_x_takes_only_int_slots(decor):
+    # {True, 2.0} == {1, 2}, so only the key types tell these apart from {1: "a", 2: "b"}
+    s = new_operad_x(empty_decorated(), "f", 2)
+    assert decoration_guard(new_operad_x, s, "g", 2, decor=decor) == "decor-domain"
+    valid = new_operad_x(s, "g", 2, decor={1: "a", 2: "b"})
+    assert check_gluing(valid) == [] and load_decorated(dump_decorated(valid)) == valid
+
+
 def test_compose_transports_symbols():
     s = decorated_pair()
     # slot 2 of f carried b; that symbol is consumed with the slot

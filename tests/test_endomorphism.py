@@ -254,14 +254,14 @@ def faulty_circ(monkeypatch):
     monkeypatch.setattr(endomorphism, "circ", circ_with_fault)
 
 
-@pytest.mark.parametrize(
-    "sweep, expected",
-    [
-        (sweep_sequential, SweepResult(False, 1782, "f=2:10 g=2:0110 h=2:01 ii=1 jj=2")),
-        (sweep_parallel, SweepResult(False, 2402, "f=2:0110 g=2:00 h=2:01 ii=1 kk=2")),
-        (sweep_identity, SweepResult(False, 18, "f=2:0110 ii=2")),
-    ],
-)
+FIRST_FAILURES = [
+    (sweep_sequential, SweepResult(False, 1782, "f=2:10 g=2:0110 h=2:01 ii=1 jj=2")),
+    (sweep_parallel, SweepResult(False, 2402, "f=2:0110 g=2:00 h=2:01 ii=1 kk=2")),
+    (sweep_identity, SweepResult(False, 18, "f=2:0110 ii=2")),
+]
+
+
+@pytest.mark.parametrize("sweep, expected", FIRST_FAILURES)
 def test_sweep_reports_first_failure(faulty_circ, sweep, expected):
     assert sweep(2, 2) == expected
 
@@ -269,10 +269,10 @@ def test_sweep_reports_first_failure(faulty_circ, sweep, expected):
 @pytest.mark.parametrize(
     "sweep, calls",
     [
-        # 720 f o_ii g and 720 g o_jj h, then two per case
-        (sweep_sequential, 720 + 720 + 2 * 25920),
-        # 320 f o_kk h and 320 f o_ii g, then two per case
-        (sweep_parallel, 320 + 320 + 2 * 6400),
+        # the distinct (f, ii, g) values among the 720 + 720 inner and 2 * 25920 outer calls
+        (sweep_sequential, 10960),
+        # the distinct (f, ii, g) values among the 320 + 320 inner and 2 * 6400 outer calls
+        (sweep_parallel, 4160),
     ],
 )
 def test_sweeps_compute_each_inner_composite_once(monkeypatch, sweep, calls):
@@ -286,6 +286,97 @@ def test_sweeps_compute_each_inner_composite_once(monkeypatch, sweep, calls):
     monkeypatch.setattr(endomorphism, "circ", counted)
     assert sweep(2, 2).ok
     assert len(made) == calls
+    assert len(set(made)) == len(made)  # FiniteFn hashes and compares by value
+
+
+def reference_sweeps(carrier, max_arity):
+    """The three sweeps as plain loops over the check_*_axiom functions, case by case."""
+    pool = [fn for n in range(1, max_arity + 1) for fn in all_functions(carrier, n)]
+
+    def sequential():
+        cases = 0
+        for f in pool:
+            for ii in range(1, f.arity + 1):
+                for g in pool:
+                    for jj in range(1, g.arity + 1):
+                        for h in pool:
+                            cases += 1
+                            if not check_sequential_axiom(f, g, h, ii, jj):
+                                text = f"f={format_fn(f)} g={format_fn(g)} h={format_fn(h)} ii={ii} jj={jj}"
+                                return SweepResult(False, cases, text)
+        return SweepResult(True, cases)
+
+    def parallel():
+        cases = 0
+        for f in pool:
+            for ii, kk in itertools.combinations(range(1, f.arity + 1), 2):
+                for g, h in itertools.product(pool, repeat=2):
+                    cases += 1
+                    if not check_parallel_axiom(f, g, h, ii, kk):
+                        text = f"f={format_fn(f)} g={format_fn(g)} h={format_fn(h)} ii={ii} kk={kk}"
+                        return SweepResult(False, cases, text)
+        return SweepResult(True, cases)
+
+    def identity():
+        cases = 0
+        for f in pool:
+            for ii in range(1, f.arity + 1):
+                cases += 1
+                if not check_identity_axiom(f, ii):
+                    return SweepResult(False, cases, f"f={format_fn(f)} ii={ii}")
+        return SweepResult(True, cases)
+
+    return sequential(), parallel(), identity()
+
+
+PARITY3 = circ(XOR, 2, XOR)
+
+
+@pytest.fixture
+def faulty_on_composite(monkeypatch):
+    """circ with a fault that needs an arity-3 composite: entry 0 flips for parity3 o_3 anything."""
+    real = endomorphism.circ
+
+    def circ_with_fault(f, ii, g):
+        r = real(f, ii, g)
+        if ii == 3 and f == PARITY3:
+            return FiniteFn(r.carrier, r.arity, (1 - r.table[0],) + r.table[1:])
+        return r
+
+    monkeypatch.setattr(endomorphism, "circ", circ_with_fault)
+
+
+# every carrier and max arity that the sweep guards and `operadix axioms` accept
+GRID = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1)]
+
+
+@pytest.mark.parametrize("carrier, max_arity", GRID)
+def test_sweeps_match_per_case_reference(carrier, max_arity):
+    got = (sweep_sequential(carrier, max_arity), sweep_parallel(carrier, max_arity), sweep_identity(carrier, max_arity))
+    assert got == reference_sweeps(carrier, max_arity)
+
+
+@pytest.mark.parametrize("fault", ["faulty_circ", "faulty_on_composite"])
+def test_sweeps_match_per_case_reference_under_faults(request, fault):
+    request.getfixturevalue(fault)
+    got = (sweep_sequential(2, 2), sweep_parallel(2, 2), sweep_identity(2, 2))
+    assert got == reference_sweeps(2, 2)
+    assert not all(result.ok for result in got)
+
+
+def test_fault_on_composite_is_first_seen_at_arity_three(faulty_on_composite):
+    seq, par, ident = sweep_sequential(2, 2), sweep_parallel(2, 2), sweep_identity(2, 2)
+    assert seq == SweepResult(False, 12581, "f=2:0110 g=2:0110 h=2:00 ii=2 jj=2")
+    assert par == SweepResult(False, 2601, "f=2:0110 g=2:0110 h=2:00 ii=1 kk=2")
+    assert ident.ok
+    assert sweep_sequential(2, 1).ok and sweep_parallel(2, 1).ok  # no arity-3 composite there
+
+
+def test_sweeps_keep_nothing_between_calls(request):
+    """A fault planted after one call shows in the next: no composite survives a call."""
+    assert all(sweep(2, 2).ok for sweep, _ in FIRST_FAILURES)
+    request.getfixturevalue("faulty_circ")
+    assert [sweep(2, 2) for sweep, _ in FIRST_FAILURES] == [expected for _, expected in FIRST_FAILURES]
 
 
 def test_sweep_guard():
