@@ -4,7 +4,7 @@
 
 Run from the root of a git checkout.  The parent is a commit, exported
 with ``git archive`` into a temporary directory; the change is the
-``src/`` and ``perfbench/`` directories of the working tree.  For each
+same files of the working tree.  For each
 workload in BENCHMARK.json and each of the fixed seeds,
 ``perfbench/run.py --trace 0`` runs once per side for the benchmark's
 ``run_seconds``, in alternating order, one run at a time.  The output
@@ -19,6 +19,12 @@ sweeps at ``(2, 2)``, ``(2, 2)`` and ``(2, 3)``): each runs in a fresh
 ``python3`` with that side's ``src/`` on ``PYTHONPATH``, sides
 alternating, and the best of three runs is kept.  Only the call is
 timed, not the import.
+
+It also records, per side, the wall time and the passed count of the
+tier-1 tests: ``python -m pytest -q -p no:cacheprovider`` in that
+side's checkout, which holds its ``tests/``, ``README.md`` and
+``pyproject.toml`` too, with its ``src/`` on ``PYTHONPATH``; sides
+alternate and the best of three runs is kept.
 
 The file is a trajectory, not evidence for a speed claim: a claim
 still needs its own alternating pairs, with seeds not used during
@@ -39,11 +45,14 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 PROBE_RE = re.compile(r"host_probe_ms before ([0-9.]+) after ([0-9.]+)")
+PASSED_RE = re.compile(r"([0-9]+) passed")
+EXPORTED = ("src", "perfbench", "tests", "README.md", "pyproject.toml")
 SEEDS = (1, 2, 3, 4, 5)
 CRITERIA = {
     "criterion_4": "run(SimConfig(seed=2024, max_steps=100_000))",
@@ -64,10 +73,10 @@ def git(*args: str) -> str:
 
 
 def export_commit(rev: str, into: Path) -> str:
-    """Unpack src/ and perfbench/ of rev into a fresh directory; return the full hash."""
+    """Unpack the EXPORTED paths of rev into a fresh directory; return the full hash."""
     commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
     archive = subprocess.run(
-        ["git", "archive", "--format=tar", commit, "src", "perfbench"],
+        ["git", "archive", "--format=tar", commit, *EXPORTED],
         cwd=ROOT, check=True, capture_output=True,
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
@@ -76,10 +85,15 @@ def export_commit(rev: str, into: Path) -> str:
 
 
 def copy_worktree(into: Path) -> str:
-    """Copy src/ and perfbench/ of the working tree; describe it by HEAD."""
-    for name in ("src", "perfbench"):
-        shutil.copytree(ROOT / name, into / name, ignore=shutil.ignore_patterns("__pycache__", "out"))
-    dirty = git("status", "--porcelain", "--", "src", "perfbench") != ""
+    """Copy the EXPORTED paths of the working tree; describe it by HEAD."""
+    into.mkdir()
+    for name in EXPORTED:
+        if (ROOT / name).is_dir():
+            ignore = shutil.ignore_patterns("__pycache__", "out", ".hypothesis")
+            shutil.copytree(ROOT / name, into / name, ignore=ignore)
+        else:
+            shutil.copy2(ROOT / name, into / name)
+    dirty = git("status", "--porcelain", "--", *EXPORTED) != ""
     return git("rev-parse", "HEAD") + (" + working tree" if dirty else "")
 
 
@@ -134,6 +148,36 @@ def time_criteria(sides: dict[str, Path]) -> dict[str, dict[str, dict]]:
     }
 
 
+def tier1_once(checkout: Path) -> dict:
+    """Wall time and passed count of one tier-1 run in checkout, on its src/."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+        cwd=checkout, env=env, capture_output=True, text=True,
+    )
+    seconds = time.perf_counter() - started
+    passed = PASSED_RE.findall(proc.stdout)
+    if not passed:
+        raise SystemExit(f"tier-1 run in {checkout} gave no summary:\n{proc.stdout}{proc.stderr}")
+    return {"seconds": seconds, "passed": int(passed[-1])}
+
+
+def time_tier1(sides: dict[str, Path]) -> dict[str, dict]:
+    """Best wall time, its passed count and every run per side, sides alternating."""
+    runs: dict[str, list[dict]] = {side: [] for side in sides}
+    for turn in range(CRITERION_ROUNDS):
+        for side in list(sides) if turn % 2 == 0 else list(reversed(sides)):
+            run = tier1_once(sides[side])
+            runs[side].append(run)
+            print(f"tier-1 {side}: {run['seconds']:.1f} s, {run['passed']} passed", file=sys.stderr)
+    best = {side: min(side_runs, key=lambda run: run["seconds"]) for side, side_runs in runs.items()}
+    return {
+        side: {"best_s": best[side]["seconds"], "passed": best[side]["passed"], "runs": side_runs}
+        for side, side_runs in runs.items()
+    }
+
+
 def summarize(runs: list[dict]) -> dict:
     names = [metric["name"] for metric in BENCHMARK["end_to_end"]]
     return {
@@ -158,6 +202,7 @@ def main(argv=None) -> int:
         sides = {"parent": parent_dir, "change": change_dir}
         lines = {side: src_lines(checkout) for side, checkout in sides.items()}
         criteria = time_criteria(sides)
+        tier1 = time_tier1(sides)
         runs: dict[str, dict[str, list[dict]]] = {}
         for workload in (w["name"] for w in BENCHMARK["workloads"]):
             runs[workload] = {"parent": [], "change": []}
@@ -176,6 +221,7 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "src_lines": lines,
         "criteria": criteria,
+        "tier1": tier1,
         "seconds": seconds,
         "seeds": list(SEEDS),
         "order": "alternating, parent first on even turns",

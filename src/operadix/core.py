@@ -14,33 +14,18 @@ limits, only search-budget knobs.
 from __future__ import annotations
 
 import re
-from collections.abc import Collection
 from dataclasses import dataclass
 
 OperadId = str
 Position = int
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-_IDS_RE = re.compile(r"[A-Za-z0-9_]*\Z")
 _DIGITS_RE = re.compile(r"[0-9]+\Z")
 
 
 def is_operad_id(name: object) -> bool:
     """True when *name* is a well-formed operad identifier token."""
     return isinstance(name, str) and bool(_ID_RE.match(name))
-
-
-def all_operad_ids(names: Collection[object]) -> bool:
-    """all(map(is_operad_id, names)), with one match over the joined names.
-
-    Joining fails on a name that is not a str, and the empty name is
-    the one word the join would hide.
-    """
-    try:
-        joined = "".join(names)  # type: ignore[arg-type]
-    except TypeError:
-        return False
-    return "" not in names and _IDS_RE.match(joined) is not None
 
 
 class OperadError(Exception):

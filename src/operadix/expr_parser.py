@@ -216,15 +216,19 @@ def elaborate(
 
     def walk(node: ComposeExpr) -> tuple[str, int]:
         if isinstance(node, Atom):
+            if node.name not in arities:
+                raise ElaborationError(f"operad {node.name!r} is not declared")
             if node.name in used:
                 raise ElaborationError(f"operad {node.name!r} used twice in the expression")
             used.add(node.name)
             return node.name, arities[node.name]
+        if not isinstance(node, Compose):
+            raise ElaborationError(f"unknown expression node {node!r}")
         left_root, left_slots = walk(node.left)
         right_root, right_slots = walk(node.right)
-        if not 1 <= node.pos <= left_slots:
+        if type(node.pos) is not int or not 1 <= node.pos <= left_slots:
             raise ElaborationError(
-                f"slot {node.pos} is out of range 1..{left_slots} in {print_expr(node)}"
+                f"slot {node.pos!r} is out of range 1..{left_slots} in {print_expr(node)}"
             )
         events.append(ComposeSeq(left_root, node.pos, right_root))
         return left_root, left_slots + right_slots - 1

@@ -5,9 +5,10 @@ relations indexed by operad identifiers and 1-based positions, and the
 two events (create, compose) rewrite those relations wholesale.  The
 open slots of a composite always carry the contiguous labels 1..n where
 n is its arity; grafting renumbers every affected label.  That
-relabelling rule is written once, on ComposeWitness: compose applies
-moved() to hats and its set form moved_set() to input sets, and the
-decoration layer applies moved() to the symbols on the slots.
+relabelling rule is written once, in ComposeWitness.moved(): compose
+applies it to the slot map (slot -> owning member) and reads the new
+input sets off the result, and the decoration layer applies it to the
+symbols on the slots.
 
 Vocabulary, with ``op2`` grafted into slot ``ii`` of the composite
 rooted at ``op1``:
@@ -48,7 +49,6 @@ from .core import (
     OperadId,
     OverflowFoliage,
     Position,
-    all_operad_ids,
     is_operad_id,
 )
 
@@ -182,8 +182,7 @@ def new_operad(state: FlatState, op_id: OperadId, arity: int, outs: int = 1) -> 
 class ComposeWitness:
     """What one grafting step did, for the law checks and for transport.
 
-    The relabelling rule is written here only, in two forms: moved()
-    for slot maps and moved_set() for sets of slots.  With shift =
+    The relabelling rule is written here only, in moved().  With shift =
     cardfol2 - 1, a slot p of op1's side stays p when p < ii,
     disappears when p == ii and becomes p + shift when p > ii; a slot p
     of op2's side becomes p + ii - 1.
@@ -216,29 +215,15 @@ class ComposeWitness:
         relabelled.update({p + shift: v for p, v in outer.items() if p > ii})
         return relabelled
 
-    def moved_set(self, outer: frozenset[Position], grafted: frozenset[Position]) -> frozenset[Position]:
-        """The set form of moved(): one pass over each side, no slot map.
-
-        Equal to frozenset(moved(dict.fromkeys(outer), dict.fromkeys(grafted))).
-        A member's input set lies on one side.  outer's is built as
-        low | high and grafted's by iteration, as compose has always
-        built them: equal frozensets built another way can print their
-        members in another order in oracle messages.
-        """
-        ii = self.ii
-        if not outer:
-            return frozenset(p + ii - 1 for p in grafted)
-        shift = self.cardfol2 - 1
-        relabelled = frozenset(p for p in outer if p < ii)
-        if grafted:
-            relabelled |= frozenset(p + ii - 1 for p in grafted)
-        return relabelled | frozenset(p + shift for p in outer if p > ii)
-
 
 def compose_seq_with_witness(
     state: FlatState, op1: OperadId, ii: Position, op2: OperadId
 ) -> tuple[FlatState, ComposeWitness]:
     """Graft op2 into slot ii of op1's composite; also return the witness.
+
+    Each member's new input set is read off the relabelled slot map,
+    witness.moved(hat1, hat2), so every slot owner must lie in its own
+    composite (rg62).
 
     Cost: O(component) for the guards, the new input sets and the hats
     of op1 and op2, read from the per-root index of the old state; a
@@ -273,9 +258,11 @@ def compose_seq_with_witness(
         hat2 = {p: member for p, member in hat2.items() if p in foliage2}
     if type(ii) is not int or ii not in hat1:
         raise GuardFailed("rg72", f"position {ii} is not an open slot of the composite rooted at {op1!r}")
+    for root, hat, hooked in ((op1, hat1, hooked1), (op2, hat2, hooked2)):
+        if not hooked.issuperset(hat.values()):
+            foreign = ", ".join(sorted(map(repr, set(hat.values()) - hooked)))
+            raise GuardFailed("rg62", f"slot owner {foreign} is outside the composite rooted at {root!r}")
     hat_op_ii = hat1[ii]
-    if hat_op_ii not in hooked1:
-        raise GuardFailed("rg62", f"slot owner {hat_op_ii!r} is outside the composite rooted at {op1!r}")
     if hat_op_ii not in state.in_op:
         raise GuardFailed("rg64", f"slot owner {hat_op_ii!r} has no input map")
     if not state.in_op[hat_op_ii]:
@@ -292,12 +279,13 @@ def compose_seq_with_witness(
         raise GuardFailed("rg64", f"composite member {missing} has no input map")
     witness = ComposeWitness(op1, op2, ii, cardfol1, cardfol2, hooked1, hooked2)
 
+    hats = witness.moved(hat1, hat2)
+    owned: dict[OperadId, list[Position]] = {oo: [] for oo in hooked1 | hooked2}
+    for p, oo in hats.items():
+        owned[oo].append(p)
     in_op = dict(state.in_op)
-    no_slots: frozenset[Position] = frozenset()
-    for oo in hooked1:
-        in_op[oo] = witness.moved_set(state.in_op[oo], no_slots)
-    for oo in hooked2:
-        in_op[oo] = witness.moved_set(no_slots, state.in_op[oo])
+    for oo, slots in owned.items():
+        in_op[oo] = frozenset(slots)
 
     # Hat entries owned by op1 or op2, and every entry keyed to op2's
     # former root role, are purged before the rebuilt component is merged
@@ -305,7 +293,7 @@ def compose_seq_with_witness(
     new_g_hat = {
         key: m for key, m in state.g_hat_op.items() if m not in (op1, op2) and key[1] != op2
     }
-    new_g_hat.update({(p, op1): m for p, m in witness.moved(hat1, hat2).items()})
+    new_g_hat.update({(p, op1): m for p, m in hats.items()})
     out_op = dict(state.out_op)
     out_op.pop(op2, None)
 
@@ -380,11 +368,6 @@ def _in_range(ps, top: int) -> bool:
     return not ps or (min(ps) >= 1 and max(ps) <= top)
 
 
-def _buckets_in_range(buckets, top: int) -> bool:
-    # every bucket of the index is non-empty: it is made on its first entry
-    return not buckets or (min(map(min, buckets)) >= 1 and max(map(max, buckets)) <= top)
-
-
 def check_invariants(state: FlatState) -> list[str]:
     """Labels of the violated invariants, in canonical order.
 
@@ -400,12 +383,12 @@ def check_invariants(state: FlatState) -> list[str]:
 
     Cost: O(state).  The per-root index of the state (one pass each
     over foliage, g_hat_op and g_hook_op, shared with compose and the
-    per-root queries) supplies every per-root bucket, and the position
-    bounds of inv40 and invr20 are read bucket by bucket.  Every other
-    test is a C-level call (set algebra, min/max, one regex match over
-    the joined ids) except three short Python passes: over hook_op's
-    values to count children, over in_op for invr50 and SP3 together,
-    and over the roots with grafted members for SP1 and SP2 together.
+    per-root queries) supplies every per-root bucket.  Most tests are
+    C-level calls (set algebra, min/max, the id regex) besides five
+    short Python passes: over the positions of foliage and of g_hat_op
+    for the bounds of inv40 and invr20, over hook_op's values to count
+    children, over in_op for invr50 and SP3 together, and over the
+    roots with grafted members for SP1 and SP2 together.
     """
     cfg = state.config
     bad: list[str] = []
@@ -414,11 +397,11 @@ def check_invariants(state: FlatState) -> list[str]:
     arity_op = state.arity_op
     index = state._index
 
-    if not all_operad_ids(ops):
+    if not all(map(is_operad_id, ops)):
         bad.append("inv10")
     if not (ops.issuperset(arity_op) and _in_range(arity_op.values(), cfg.max_fol)):
         bad.append("inv30")
-    if not (ops.issuperset(index.foliage) and _buckets_in_range(index.foliage.values(), cfg.max_fol)):
+    if not (ops.issuperset(index.foliage) and _in_range([p for p, _ in state.foliage], cfg.max_fol)):
         bad.append("inv40")
     if not (
         ops.issuperset(state.out_op)
@@ -431,7 +414,7 @@ def check_invariants(state: FlatState) -> list[str]:
     if not (
         ops.issuperset(index.hats)
         and ops.issuperset(state.g_hat_op.values())
-        and _buckets_in_range(index.hats.values(), cfg.max_fol)
+        and _in_range([p for p, _ in state.g_hat_op], cfg.max_fol)
     ):
         bad.append("invr20")
     if not (ops.issuperset(state.hook_op) and ops.issuperset(state.hook_op.values())):

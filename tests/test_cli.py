@@ -1,11 +1,25 @@
 """The command line pipeline: exit codes, text output, JSON output."""
 
+import contextlib
 import io
 import json
+import re
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from operadix import dump_decorated, dump_state, empty_decorated, new_operad_x, replay, parse_trace
+from operadix import (
+    compose_seq_x,
+    dump_decorated,
+    dump_state,
+    empty_decorated,
+    load_decorated,
+    load_state,
+    new_operad_x,
+    parse_trace,
+    replay,
+)
 from operadix.cli import main
 
 PROGRAM = "f:4; g:3; h:3; (f o_2 g) o_4 h\n"
@@ -335,3 +349,83 @@ def test_deep_programs_fail_without_traceback(argv, source, monkeypatch, capsys)
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "nest deeper than" in err
+
+
+# Every text format, mutated token by token and fed to main in process:
+# (name, argv, valid text).  In argv, "-" reads the mutant from stdin,
+# "{mutant}" is the mutant itself and "{program}" a valid program file.
+FUZZ_PROGRAM = "f:2; g:1; h:2; (f o_1 g) o_2 h  # comment\n"
+FUZZ_FNS = ["--fn", "f=2:0110", "--fn", "g=2:10", "--fn", "h=2:0111"]
+FUZZ_TARGETS = [
+    ("program", ["parse", "-"], FUZZ_PROGRAM),
+    ("program-json", ["parse", "--json", "-"], FUZZ_PROGRAM),
+    ("program-eval", ["eval", "-", *FUZZ_FNS], FUZZ_PROGRAM),
+    ("trace", ["compose", "-"], TRACE),
+    ("dump", ["check", "-"], expected_dump()),
+    ("decorated", ["check", "-"], dump_decorated(
+        compose_seq_x(new_operad_x(new_operad_x(empty_decorated(), "f", 3), "g", 2), "f", 2, "g")
+    )),
+    ("config", ["parse", "--config", "-", "{program}"], "# bounds\nmax_args=4\nmax_oprd=3\nmax_fol=12\n"),
+    ("fn", ["eval", "{program}", "--fn", "{mutant}", "--fn", "g=2:10", "--fn", "h=2:0111"], "f=2:0110"),
+]
+FUZZ_TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z_]+|\s+|.", re.DOTALL)
+FUZZ_EXTRA_TOKENS = [
+    "", "0", "-1", "99", "١", "²", "é", "[alphabet]", "[hat]", "[inx]", "#", ":", ";",
+    "->", "{", "}", ",", "(", ")", "=", "o_", "zz", "\n", "\t", "\r", "\x00",
+]
+FUZZ_POOL = sorted(
+    {tok for _, _, text in FUZZ_TARGETS for tok in FUZZ_TOKEN_RE.findall(text)} | set(FUZZ_EXTRA_TOKENS)
+)
+
+
+def run_main(argv, stdin_text):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2), (argv, stdin_text, err.getvalue())
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_program(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "prog.op"
+    path.write_text(FUZZ_PROGRAM)
+    return str(path)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    target=st.sampled_from(FUZZ_TARGETS),
+    edits=st.lists(
+        st.tuples(st.sampled_from(["drop", "swap", "insert"]), st.integers(0, 400), st.sampled_from(FUZZ_POOL)),
+        max_size=4,
+    ),
+)
+def test_mutated_texts_never_raise(fuzz_program, target, edits):
+    _, argv, text = target
+    tokens = FUZZ_TOKEN_RE.findall(text)
+    for action, at, token in edits:
+        at %= len(tokens) + 1
+        if action == "insert" or at == len(tokens):
+            tokens.insert(at, token)
+        elif action == "swap":
+            tokens[at] = token
+        else:
+            del tokens[at]
+    mutant = "".join(tokens)
+    argv = [fuzz_program if arg == "{program}" else mutant if arg == "{mutant}" else arg for arg in argv]
+    code, _ = run_main(argv, mutant)
+    if argv[0] == "check" and code != 1:
+        # a dump that check loads exports, and its re-dump exports the same
+        code, exported_text = run_main(["export", "-"], mutant)
+        assert code == 0
+        exported = json.loads(exported_text)
+        redump = (
+            dump_decorated(load_decorated(mutant)) if "alphabet" in exported else dump_state(load_state(mutant))
+        )
+        assert json.loads(run_main(["export", "-"], redump)[1]) == exported

@@ -1,5 +1,7 @@
 """Grammar, AST printing, and elaboration of programs into event lists."""
 
+import re
+
 import pytest
 
 from operadix import (
@@ -162,6 +164,23 @@ def test_elaborate_rejects_out_of_range_slot(src):
 def test_elaborate_rejects_atom_reuse():
     with pytest.raises(ElaborationError):
         elaborate(*parse("f:2; f o_1 f"))
+
+
+@pytest.mark.parametrize(
+    "decls, expr, message",
+    [
+        ((), Atom("f"), "operad 'f' is not declared"),
+        ((Declaration("f", 2),), Compose(Atom("f"), 1, Atom("g")), "operad 'g' is not declared"),
+        ((Declaration("f", 2),), "f", "unknown expression node 'f'"),
+        ((Declaration("f", 2),), Compose(Atom("f"), 1, None), "unknown expression node None"),
+        ((Declaration("f", 2), Declaration("g", 1)), Compose(Atom("f"), "1", Atom("g")), "slot '1' is out of range"),
+        ((Declaration("f", 2), Declaration("g", 1)), Compose(Atom("f"), 1.0, Atom("g")), "slot 1.0 is out of range"),
+    ],
+)
+def test_elaborate_rejects_malformed_trees(decls, expr, message):
+    # the parser never builds these trees, but elaborate is public API
+    with pytest.raises(ElaborationError, match=re.escape(message)):
+        elaborate(decls, expr)
 
 
 def test_elaborate_caps_declared_arity():

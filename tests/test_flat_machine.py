@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from operadix import (
     BoundsError,
     ComposeSeq,
-    ComposeWitness,
     Config,
     GuardFailed,
     NewOperad,
@@ -194,22 +193,6 @@ def test_compose_witness_relabelling(quadratic_pair):
     assert w.moved({}, dict.fromkeys((1, 2))).keys() == {2, 3}
     # positions outside the foliage move by the same arithmetic
     assert w.moved({0: "x", 9: "y"}, {5: "z"}) == {0: "x", 6: "z", 10: "y"}
-    # the set form gives the same slots
-    assert w.moved_set(frozenset({1, 2, 3, 4}), frozenset()) == {1, 4, 5}
-    assert w.moved_set(frozenset(), frozenset({1, 2})) == {2, 3}
-    assert w.moved_set(frozenset({0, 9}), frozenset({5})) == {0, 6, 10}
-
-
-@given(
-    ii=st.integers(1, 6),
-    cardfol2=st.integers(0, 6),
-    outer=st.frozensets(st.integers(0, 12)),
-    grafted=st.frozensets(st.integers(0, 12)),
-)
-def test_moved_set_is_moved_on_sets(ii, cardfol2, outer, grafted):
-    w = ComposeWitness("f", "g", ii, 6, cardfol2, frozenset({"f"}), frozenset({"g"}))
-    expected = frozenset(w.moved(dict.fromkeys(outer), dict.fromkeys(grafted)))
-    assert w.moved_set(outer, grafted) == expected
 
 
 def test_compose_law_checks(quadratic_pair):
@@ -236,6 +219,13 @@ def test_compose_defensive_guards(quadratic_pair):
     s = new_operad(quadratic_pair, "h", 1)
     foreign = replace(s, g_hat_op={**s.g_hat_op, (2, "f"): "h"})
     assert guard_label(compose_seq, foreign, "f", 2, "h") == "rg62"
+    # compose reads every member's new inputs off the hats, so a foreign
+    # owner on any slot of either side fails, not only on slot ii
+    foreign_low = replace(s, g_hat_op={**s.g_hat_op, (4, "f"): "h"})
+    assert guard_label(compose_seq, foreign_low, "f", 2, "h") == "rg62"
+    t = new_operad(new_operad(quadratic_pair, "h", 2), "k", 1)
+    foreign_grafted = replace(t, g_hat_op={**t.g_hat_op, (2, "h"): "k"})
+    assert guard_label(compose_seq, foreign_grafted, "f", 1, "h") == "rg62"
     no_inputs = replace(s, in_op={k: v for k, v in s.in_op.items() if k != "g"})
     assert guard_label(compose_seq, no_inputs, "f", 2, "h") == "rg64"
     drained = replace(s, in_op={**s.in_op, "g": frozenset()})

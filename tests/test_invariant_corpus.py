@@ -185,6 +185,10 @@ def test_event_traces_stay_clean(plan):
         assert check_invariants(state) == []
         for root in sorted(mirrors):
             assert compare_with_flat(state, root, mirrors[root]) == []
+            # compose reads each member's input set off the slot map
+            hats = hat_map_of(state, root)
+            for member in component_of(state, root):
+                assert state.in_op[member] == {p for p, owner in hats.items() if owner == member}
 
 
 # Scan-based reference definitions of the per-root queries: each reads
