@@ -207,9 +207,9 @@ def elaborate(
     if len(decls) > cfg.max_oprd:
         raise ElaborationError(f"{len(decls)} declarations exceed max_oprd = {cfg.max_oprd}")
     for decl in decls:
-        if decl.arity > cfg.max_args:
+        if type(decl.arity) is not int or decl.arity > cfg.max_args:
             raise ElaborationError(
-                f"declared arity {decl.arity} of {decl.name!r} exceeds max_args = {cfg.max_args}"
+                f"declared arity {decl.arity!r} of {decl.name!r} exceeds max_args = {cfg.max_args}"
             )
     events: list[Event] = [NewOperad(d.name, d.arity) for d in decls]
     used: set[str] = set()

@@ -371,97 +371,63 @@ def _in_range(ps, top: int) -> bool:
 def check_invariants(state: FlatState) -> list[str]:
     """Labels of the violated invariants, in canonical order.
 
-    Typing invariants (inv*, invr*) bound every relation by the config
-    and by my_operads.  The structural ones tie the relations together:
+    Typing invariants (inv*, invr*) bound the relations as the creation
+    guards do and type them by my_operads: arity_op and in_op are keyed
+    by exactly the operads, out_op is {1} on exactly the roots, hook_op
+    and g_hook_op share their keys, and a member shares its parent's
+    root.  Each structural one holds for the whole state at once:
 
-      SP1  per root, slots with a hat plus the root's own inputs cover
-           the whole foliage of that root
-      SP2  per root, the foliage is exactly the union of the input sets
-           of the root and of every member grafted below it
-      SP3  a member with children has one input lost per direct child:
-           card(in_op) = arity - number of direct children
+      SP1  every open slot has one hat: g_hat_op's keys are the foliage
+      SP2  each input set is exactly the slots its member owns: each hat
+           lies in its owner's set under its owner's root, and the sets
+           hold as many slots as there are hats
+      SP3  each arity is the open inputs plus the direct children
 
-    Cost: O(state).  The per-root index of the state (one pass each
-    over foliage, g_hat_op and g_hook_op, shared with compose and the
-    per-root queries) supplies every per-root bucket.  Most tests are
-    C-level calls (set algebra, min/max, the id regex) besides five
-    short Python passes: over the positions of foliage and of g_hat_op
-    for the bounds of inv40 and invr20, over hook_op's values to count
-    children, over in_op for invr50 and SP3 together, and over the
-    roots with grafted members for SP1 and SP2 together.
+    Not exact: a non-planar state passes, such as f:3 o_2 g:2 with
+    in f = {1,3}, in g = {2,4} and the hats to match.  Cost: O(state),
+    in Python passes over the ids, the hats, the operads and hook_op.
     """
     cfg = state.config
     bad: list[str] = []
     ops = state.my_operads
     in_op = state.in_op
     arity_op = state.arity_op
-    index = state._index
+    g_hook_op = state.g_hook_op
 
-    if not all(map(is_operad_id, ops)):
+    if not (len(ops) <= cfg.max_oprd and all(map(is_operad_id, ops))):
         bad.append("inv10")
-    if not (ops.issuperset(arity_op) and _in_range(arity_op.values(), cfg.max_fol)):
+    if not (arity_op.keys() == ops and _in_range(arity_op.values(), cfg.max_args)):
         bad.append("inv30")
-    if not (ops.issuperset(index.foliage) and _in_range([p for p, _ in state.foliage], cfg.max_fol)):
+    if not (
+        len(state.foliage) <= cfg.max_fol
+        and ops.issuperset(state._index.foliage)
+        and _in_range([p for p, _ in state.foliage], cfg.max_fol)
+    ):
         bad.append("inv40")
-    if not (
-        ops.issuperset(state.out_op)
-        and _in_range(frozenset().union(*state.out_op.values()), cfg.max_args)
-    ):
+    if state.out_op != dict.fromkeys(ops.difference(g_hook_op), frozenset({1})):
         bad.append("inv60")
-    inputs_in_range = _in_range(frozenset().union(*in_op.values()), cfg.max_fol)
-    if not (ops.issuperset(in_op) and inputs_in_range):
+    if in_op.keys() != ops:
         bad.append("invr10")
-    if not (
-        ops.issuperset(index.hats)
-        and ops.issuperset(state.g_hat_op.values())
-        and _in_range([p for p, _ in state.g_hat_op], cfg.max_fol)
-    ):
+    if not (ops.issuperset(state._index.hats) and ops.issuperset(state.g_hat_op.values())):
         bad.append("invr20")
-    if not (ops.issuperset(state.hook_op) and ops.issuperset(state.hook_op.values())):
-        bad.append("invr30")
-    if not state.out_op.keys().isdisjoint(state.hook_op):
-        bad.append("invr34")
-    if not (ops.issuperset(state.g_hook_op) and ops.issuperset(index.members)):
+    if not (
+        ops.issuperset(g_hook_op)
+        and ops.issuperset(state._index.members)
+        and state.hook_op.keys() == g_hook_op.keys()
+        and all(g_hook_op.get(parent, parent) == g_hook_op[m] for m, parent in state.hook_op.items())
+    ):
         bad.append("invr40")
 
-    # invr50 bounds every input set by its arity; SP3 asks one lost
-    # input per direct child of a member
-    hook_children: dict[OperadId, int] = {}
-    for parent in state.hook_op.values():
-        hook_children[parent] = hook_children.get(parent, 0) + 1
-    over_arity = lost_inputs = False
-    for op, ins in in_op.items():
-        if op in arity_op and op in ops:
-            arity = arity_op[op]
-            if len(ins) > arity:
-                over_arity = True
-            if op in hook_children and len(ins) != arity - hook_children[op]:
-                lost_inputs = True
-    if over_arity:
-        bad.append("invr50")
-
-    # SP1 and SP2 look only at roots with grafted members that are
-    # operads, own foliage and have an input set
-    uncovered = misfit = False
-    for op, below in index.members.items():
-        if op not in ops or op not in index.foliage or op not in in_op:
-            continue
-        foliage = index.foliage[op]
-        if not uncovered and op not in state.g_hook_op and op in state.g_hat_op.values():
-            uncovered = index.hats.get(op, {}).keys() | in_op[op] != foliage
-        if not misfit:
-            covered = set(in_op[op])
-            for oo in below:
-                ins = in_op.get(oo)
-                # an input set out of range counts for invr10 only
-                if ins is not None and (inputs_in_range or _in_range(ins, cfg.max_fol)):
-                    covered |= ins
-            misfit = covered != foliage
-    if uncovered:
+    if state.g_hat_op.keys() != state.foliage:
         bad.append("SP1")
-    if misfit:
+    if sum(map(len, in_op.values())) != len(state.g_hat_op) or not all(
+        p in in_op.get(m, ()) and g_hook_op.get(m, m) == root for (p, root), m in state.g_hat_op.items()
+    ):
         bad.append("SP2")
-    if lost_inputs:
+    children = dict.fromkeys(ops, 0)
+    for parent in state.hook_op.values():
+        children[parent] = children.get(parent, 0) + 1
+    if any(arity_op.get(op) != len(in_op.get(op, ())) + children[op] for op in ops):
         bad.append("SP3")
 
     return bad

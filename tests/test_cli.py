@@ -5,11 +5,14 @@ import io
 import json
 import re
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from operadix import (
+    Config,
+    check_invariants,
     compose_seq_x,
     dump_decorated,
     dump_state,
@@ -133,7 +136,8 @@ def test_check_finds_violation(tmp_path, capsys):
     path = tmp_path / "broken.dump"
     path.write_text(expected_dump().replace("in: g->{2,3}", "in: g->{2,3,4}"))
     assert main(["check", str(path)]) == 2
-    assert capsys.readouterr().out == "violated: SP3\n"
+    # slot 4 is h's: g's claim on it breaks the slot map and g's input count
+    assert capsys.readouterr().out == "violated: SP2\nviolated: SP3\n"
 
 
 def test_check_json(tmp_path, capsys):
@@ -141,7 +145,37 @@ def test_check_json(tmp_path, capsys):
     path.write_text(expected_dump().replace("in: g->{2,3}", "in: g->{2,3,4}"))
     assert main(["check", "--json", str(path)]) == 2
     data = json.loads(capsys.readouterr().out)
-    assert data == {"ok": False, "violations": ["SP3"], "gluing": []}
+    assert data == {"ok": False, "violations": ["SP2", "SP3"], "gluing": []}
+
+
+def two_roots(**changes):
+    """The roots f:3 and h:2, with some relations replaced."""
+    return replace(replay(parse_trace("new f 3 1\nnew h 2 1\n")), **changes)
+
+
+UNREACHABLE = {
+    # made under wider bounds than the default ones the dump is checked with
+    "arity-past-max_args": lambda: replay(parse_trace("new f 7 1\n"), Config(max_args=7, max_fol=56)),
+    "past-max_oprd-and-max_fol": lambda: replay(
+        parse_trace("".join(f"new f{k} 6 1\n" for k in range(9))), Config(max_oprd=9, max_fol=54)
+    ),
+    "inputs-short-of-arity": lambda: two_roots(in_op={"f": frozenset({1}), "h": frozenset({1, 2})}),
+    "foliage-with-a-gap": lambda: two_roots(
+        foliage=frozenset({(1, "f"), (2, "f"), (9, "f"), (1, "h"), (2, "h")})
+    ),
+    "hat-owned-by-another-root": lambda: two_roots(g_hat_op={**two_roots().g_hat_op, (1, "f"): "h"}),
+    "no-arities": lambda: two_roots(arity_op={}),
+}
+
+
+@pytest.mark.parametrize("build", UNREACHABLE.values(), ids=UNREACHABLE.keys())
+def test_check_rejects_unreachable_states(tmp_path, capsys, build):
+    text = dump_state(build())
+    assert check_invariants(load_state(text)) != []
+    path = tmp_path / "unreachable.dump"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().out.startswith("violated: ")
 
 
 def decorated_dump():

@@ -327,38 +327,36 @@ def test_invariants_clean_states(quadratic_pair, nested_triple):
 
 
 def test_invariant_sp3_detects_unshrunk_inputs(nested_triple):
+    # slot 4 is h's, so g's claim on it also breaks the slot map
     bad = replace(nested_triple, in_op={**nested_triple.in_op, "g": frozenset({2, 3, 4})})
-    assert check_invariants(bad) == ["SP3"]
+    assert check_invariants(bad) == ["SP2", "SP3"]
 
 
 def test_invariant_sp1_detects_missing_hat(nested_triple):
     hats = {k: v for k, v in nested_triple.g_hat_op.items() if k != (5, "f")}
-    assert check_invariants(replace(nested_triple, g_hat_op=hats)) == ["SP1"]
+    assert check_invariants(replace(nested_triple, g_hat_op=hats)) == ["SP1", "SP2"]
 
 
 def test_invariant_sp2_detects_lost_position(nested_triple):
     bad = replace(nested_triple, in_op={**nested_triple.in_op, "h": frozenset({4, 6})})
-    assert check_invariants(bad) == ["SP2"]
+    assert check_invariants(bad) == ["SP2", "SP3"]
 
 
 @pytest.mark.parametrize(
     "labels,mutate",
     [
-        (["inv10"], lambda s: replace(s, my_operads=s.my_operads | {""})),
+        (["inv10", "inv30", "inv60", "invr10", "SP3"], lambda s: replace(s, my_operads=s.my_operads | {""})),
         (["inv30"], lambda s: replace(s, arity_op={**s.arity_op, "zz": 3})),
-        # a phantom slot also breaks the coverage invariants
-        (["inv40", "SP1", "SP2"], lambda s: replace(s, foliage=s.foliage | {(50, "f")})),
+        # a phantom slot also has no hat
+        (["inv40", "SP1"], lambda s: replace(s, foliage=s.foliage | {(50, "f")})),
         (["inv60"], lambda s: replace(s, out_op={**s.out_op, "f": frozenset({7})})),
-        (
-            ["invr10", "SP1", "SP2", "SP3"],
-            lambda s: replace(s, in_op={**s.in_op, "f": frozenset({49})}),
-        ),
-        (["invr20"], lambda s: replace(s, g_hat_op={**s.g_hat_op, (1, "zz"): "f"})),
-        (["invr30"], lambda s: replace(s, hook_op={**s.hook_op, "g": "zz"})),
+        (["SP2", "SP3"], lambda s: replace(s, in_op={**s.in_op, "f": frozenset({49})})),
+        (["invr20", "SP1", "SP2"], lambda s: replace(s, g_hat_op={**s.g_hat_op, (1, "zz"): "f"})),
+        (["invr40", "SP3"], lambda s: replace(s, hook_op={**s.hook_op, "g": "zz"})),
         # hooking the root makes it a fake parent, so g's input count is off
-        (["invr34", "SP3"], lambda s: replace(s, hook_op={**s.hook_op, "f": "g"})),
-        (["invr40"], lambda s: replace(s, g_hook_op={"g": "zz"})),
-        (["invr50", "SP3"], lambda s: replace(s, in_op={**s.in_op, "f": frozenset({1, 2, 3, 4, 5})})),
+        (["invr40", "SP3"], lambda s: replace(s, hook_op={**s.hook_op, "f": "g"})),
+        (["invr40", "SP2"], lambda s: replace(s, g_hook_op={"g": "zz"})),
+        (["SP2", "SP3"], lambda s: replace(s, in_op={**s.in_op, "f": frozenset({1, 2, 3, 4, 5})})),
     ],
 )
 def test_corrupted_states_report_typing_labels(quadratic_pair, labels, mutate):

@@ -138,7 +138,7 @@ def test_load_error_mentions_line_number():
 def test_loaded_corrupt_state_reaches_checker():
     # the loader only validates shape; the checker owns semantics
     text = FULL_DUMP.replace("in: g->{2,3}", "in: g->{2,3,4}")
-    assert check_invariants(load_state(text)) == ["SP3"]
+    assert check_invariants(load_state(text)) == ["SP2", "SP3"]
 
 
 def test_zero_position_loads_but_fails_invariants():
