@@ -69,7 +69,6 @@ def _resolve_config(args) -> Config:
     return config_from_entries(
         entries,
         max_args=args.max_args,
-        max_out=args.max_out,
         max_oprd=args.max_oprd,
         max_fol=args.max_fol,
     )
@@ -207,7 +206,6 @@ def build_parser() -> _ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="bounds file with key=value lines")
     common.add_argument("--max-args", type=_int, help="override max_args")
-    common.add_argument("--max-out", type=_int, help="override max_out")
     common.add_argument("--max-oprd", type=_int, help="override max_oprd")
     common.add_argument("--max-fol", type=_int, help="override max_fol")
     common.add_argument("--json", action="store_true", help="JSON output")

@@ -14,6 +14,7 @@ limits, only search-budget knobs.
 from __future__ import annotations
 
 import re
+from collections.abc import Collection
 from dataclasses import dataclass
 
 OperadId = str
@@ -57,8 +58,8 @@ class GuardFailed(OperadError):
         super().__init__(f"[{label}] {message}")
 
 
-class OverflowFoliage(OperadError):
-    """Relabelling would push a position past max_fol.
+class OverflowFoliage(GuardFailed):
+    """The guard ``overflow``: relabelling would push a position past max_fol.
 
     Unreachable from the empty state, because creation already budgets
     the whole foliage.  Hand-built states can still trip it.
@@ -91,13 +92,12 @@ class Config:
     """Finite bounds for the grafting machine.
 
     max_args  largest arity a freshly created operad may have
-    max_out   outputs per operad; only 1 is supported
     max_oprd  how many operads may coexist
-    max_fol   how many positions may coexist across all composites
+    max_fol   how many positions may coexist across all composites,
+              at least max_oprd * max_args
     """
 
     max_args: int = 6
-    max_out: int = 1
     max_oprd: int = 8
     max_fol: int = 48
 
@@ -106,10 +106,6 @@ class Config:
             raise ConfigError("max_args must be at least 1")
         if self.max_oprd < 1:
             raise ConfigError("max_oprd must be at least 1")
-        if self.max_out != 1:
-            raise ConfigError("only single-output operads are supported (max_out = 1)")
-        if self.max_fol < self.max_args:
-            raise ConfigError("max_fol must be at least max_args")
         if self.max_fol < self.max_oprd * self.max_args:
             raise ConfigError(
                 "max_fol must cover max_oprd operads of max_args inputs "
@@ -117,7 +113,14 @@ class Config:
             )
 
 
-_CONFIG_KEYS = ("max_args", "max_out", "max_oprd", "max_fol")
+def _arities_ok(arities: Collection[object], config: Config) -> bool:
+    """The arity rule, shared by g4, inv30 and elaborate: every value is an int in 1..max_args."""
+    return {int}.issuperset(map(type, arities)) and (
+        not arities or (min(arities) >= 1 and max(arities) <= config.max_args)
+    )
+
+
+_CONFIG_KEYS = ("max_args", "max_oprd", "max_fol")
 
 
 def parse_config_entries(text: str) -> dict[str, str]:

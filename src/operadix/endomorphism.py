@@ -135,6 +135,8 @@ def check_identity_axiom(f: FiniteFn, ii: int) -> bool:
 
 def all_functions(carrier: int, arity: int):
     """Every FiniteFn of the given shape, in table order."""
+    if type(carrier) is not int or type(arity) is not int or carrier < 1 or arity < 0:
+        raise BoundsError(f"need int carrier >= 1 and arity >= 0, got {carrier!r} and {arity!r}")
     size = carrier**arity
     if carrier**size > 10_000_000:
         raise BoundsError(f"would enumerate {carrier}**{size} functions, pick smaller bounds")

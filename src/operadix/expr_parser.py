@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import Config, ElaborationError, ParseError
+from .core import Config, ElaborationError, ParseError, _arities_ok
 from .flat_machine import ComposeSeq, Event, NewOperad
 
 # One alternative per token kind, tried in order.  o_ and o_<digits>
@@ -207,9 +207,9 @@ def elaborate(
     if len(decls) > cfg.max_oprd:
         raise ElaborationError(f"{len(decls)} declarations exceed max_oprd = {cfg.max_oprd}")
     for decl in decls:
-        if type(decl.arity) is not int or decl.arity > cfg.max_args:
+        if not _arities_ok((decl.arity,), cfg):
             raise ElaborationError(
-                f"declared arity {decl.arity!r} of {decl.name!r} exceeds max_args = {cfg.max_args}"
+                f"declared arity {decl.arity!r} of {decl.name!r} is not an int in 1..{cfg.max_args}"
             )
     events: list[Event] = [NewOperad(d.name, d.arity) for d in decls]
     used: set[str] = set()

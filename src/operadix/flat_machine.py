@@ -49,6 +49,7 @@ from .core import (
     OperadId,
     OverflowFoliage,
     Position,
+    _arities_ok,
     is_operad_id,
 )
 
@@ -145,8 +146,8 @@ def empty_state(config: Config | None = None) -> FlatState:
 def new_operad(state: FlatState, op_id: OperadId, arity: int, outs: int = 1) -> FlatState:
     """Add an elementary operad with slots 1..arity, all open.
 
-    The outs argument is bounds-checked against max_out, which Config
-    pins to 1: every operad gets the single output {1}.
+    The arity must pass the arity rule of Config (g4) and outs must be
+    the int 1 (g6): every operad gets the single output {1}.
     """
     cfg = state.config
     if not is_operad_id(op_id):
@@ -155,10 +156,10 @@ def new_operad(state: FlatState, op_id: OperadId, arity: int, outs: int = 1) -> 
         raise GuardFailed("g1", f"operad count is at the max_oprd bound {cfg.max_oprd}")
     if op_id in state.my_operads:
         raise GuardFailed("g3", f"operad {op_id!r} already exists")
-    if type(arity) is not int or not 1 <= arity <= cfg.max_args:
+    if not _arities_ok((arity,), cfg):
         raise GuardFailed("g4", f"arity must be in 1..{cfg.max_args}, got {arity}")
-    if type(outs) is not int or not 1 <= outs <= cfg.max_out:
-        raise GuardFailed("g6", f"output count must be in 1..{cfg.max_out}, got {outs}")
+    if type(outs) is not int or outs != 1:
+        raise GuardFailed("g6", f"output count must be 1, got {outs}")
     if len(state.foliage) + arity > cfg.max_fol:
         raise GuardFailed(
             "g28",
@@ -262,9 +263,10 @@ def compose_seq_with_witness(
         if not hooked.issuperset(hat.values()):
             foreign = ", ".join(sorted(map(repr, set(hat.values()) - hooked)))
             raise GuardFailed("rg62", f"slot owner {foreign} is outside the composite rooted at {root!r}")
+    if not (state.in_op.keys() >= hooked1 and state.in_op.keys() >= hooked2):
+        missing = ", ".join(sorted(map(repr, (hooked1 | hooked2) - state.in_op.keys())))
+        raise GuardFailed("rg64", f"composite member {missing} has no input map")
     hat_op_ii = hat1[ii]
-    if hat_op_ii not in state.in_op:
-        raise GuardFailed("rg64", f"slot owner {hat_op_ii!r} has no input map")
     if not state.in_op[hat_op_ii]:
         raise GuardFailed("rg70", f"slot owner {hat_op_ii!r} has no open inputs")
 
@@ -272,11 +274,9 @@ def compose_seq_with_witness(
     cardfol2 = len(foliage2)
     if cardfol1 + cardfol2 - 1 > state.config.max_fol:
         raise OverflowFoliage(
-            f"composite would need {cardfol1 + cardfol2 - 1} positions, max_fol is {state.config.max_fol}"
+            "overflow",
+            f"composite would need {cardfol1 + cardfol2 - 1} positions, max_fol is {state.config.max_fol}",
         )
-    if not (state.in_op.keys() >= hooked1 and state.in_op.keys() >= hooked2):
-        missing = ", ".join(sorted(map(repr, (hooked1 | hooked2) - state.in_op.keys())))
-        raise GuardFailed("rg64", f"composite member {missing} has no input map")
     witness = ComposeWitness(op1, op2, ii, cardfol1, cardfol2, hooked1, hooked2)
 
     hats = witness.moved(hat1, hat2)
@@ -364,18 +364,16 @@ def hook_map_of(state: FlatState, root: OperadId) -> dict[OperadId, OperadId]:
     return {oo: state.hook_op[oo] for oo in sorted(members) if oo in state.hook_op}
 
 
-def _in_range(ps, top: int) -> bool:
-    return not ps or (min(ps) >= 1 and max(ps) <= top)
-
-
 def check_invariants(state: FlatState) -> list[str]:
     """Labels of the violated invariants, in canonical order.
 
     Typing invariants (inv*, invr*) bound the relations as the creation
-    guards do and type them by my_operads: arity_op and in_op are keyed
-    by exactly the operads, out_op is {1} on exactly the roots, hook_op
-    and g_hook_op share their keys, and a member shares its parent's
-    root.  Each structural one holds for the whole state at once:
+    guards do and type them by my_operads: every arity follows Config's
+    arity rule, each root's foliage positions are exactly 1..n for its
+    n slots, arity_op and in_op are keyed by exactly the operads,
+    out_op is {1} on exactly the roots, hook_op and g_hook_op share
+    their keys, and a member shares its parent's root.  Each structural
+    one holds for the whole state at once:
 
       SP1  every open slot has one hat: g_hat_op's keys are the foliage
       SP2  each input set is exactly the slots its member owns: each hat
@@ -396,12 +394,12 @@ def check_invariants(state: FlatState) -> list[str]:
 
     if not (len(ops) <= cfg.max_oprd and all(map(is_operad_id, ops))):
         bad.append("inv10")
-    if not (arity_op.keys() == ops and _in_range(arity_op.values(), cfg.max_args)):
+    if not (arity_op.keys() == ops and _arities_ok(arity_op.values(), cfg)):
         bad.append("inv30")
     if not (
         len(state.foliage) <= cfg.max_fol
         and ops.issuperset(state._index.foliage)
-        and _in_range([p for p, _ in state.foliage], cfg.max_fol)
+        and all(ps == set(range(1, len(ps) + 1)) for ps in state._index.foliage.values())
     ):
         bad.append("inv40")
     if state.out_op != dict.fromkeys(ops.difference(g_hook_op), frozenset({1})):

@@ -21,7 +21,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .core import Config, GuardFailed, OverflowFoliage, StateFormatError
+from .core import Config, GuardFailed, StateFormatError
 from .flat_machine import (
     ComposeSeq,
     Event,
@@ -142,9 +142,6 @@ def run(sim: SimConfig) -> SimReport:
                 state, witness = compose_seq_with_witness(state, event.op1, event.pos, event.op2)
         except GuardFailed as exc:
             guard_failures[exc.label] = guard_failures.get(exc.label, 0) + 1
-            continue
-        except OverflowFoliage:
-            guard_failures["overflow"] = guard_failures.get("overflow", 0) + 1
             continue
 
         fired_count += 1

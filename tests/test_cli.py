@@ -101,7 +101,7 @@ def test_compose_rejects_malformed_trace(tmp_path, capsys):
 
 def test_compose_reports_guard_failure(tmp_path, capsys):
     path = tmp_path / "trace.txt"
-    # creation takes arities 1..max_args and max_out outputs, as in every other entry point
+    # creation takes arities 1..max_args and one output, as in every other entry point
     for trace, label in [("new f 2 1\nnew f 2 1\n", "g3"), ("new f 40 1\n", "g4"), ("new f 2 2\n", "g6")]:
         path.write_text(trace)
         assert main(["compose", str(path)]) == 1
@@ -165,6 +165,13 @@ UNREACHABLE = {
     ),
     "hat-owned-by-another-root": lambda: two_roots(g_hat_op={**two_roots().g_hat_op, (1, "f"): "h"}),
     "no-arities": lambda: two_roots(arity_op={}),
+    # every position lies in 1..max_fol, but f:2's two slots are not 1..2
+    "slots-1-and-3": lambda: replace(
+        replay(parse_trace("new f 2 1\n")),
+        foliage=frozenset({(1, "f"), (3, "f")}),
+        in_op={"f": frozenset({1, 3})},
+        g_hat_op={(1, "f"): "f", (3, "f"): "f"},
+    ),
 }
 
 
@@ -324,6 +331,18 @@ def test_bad_config_file(tmp_path, program_file, capsys):
     cfg = tmp_path / "bounds.cfg"
     cfg.write_text("max_args\n")
     assert main(["parse", "--config", str(cfg), program_file]) == 1
+
+
+@pytest.mark.parametrize("argv", [["parse", "p.op"], ["simulate"], ["axioms"], ["check", "s.dump"]])
+def test_max_out_is_not_a_bound(tmp_path, capsys, argv):
+    # every operad has the one output 1, so no flag or config key sets it;
+    # both are rejected before any file argument is read
+    assert main([*argv, "--max-out", "1"]) == 1
+    assert "unrecognized arguments: --max-out" in capsys.readouterr().err
+    cfg = tmp_path / "bounds.cfg"
+    cfg.write_text("max_out=1\n")
+    assert main([*argv, "--config", str(cfg)]) == 1
+    assert "unknown config key 'max_out'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["\u0661", " +8 ", "1_6"])

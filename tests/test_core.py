@@ -11,7 +11,7 @@ from operadix.core import config_from_entries, is_operad_id, parse_config_entrie
 def test_default_config_values():
     cfg = Config()
     assert cfg.max_args == 6
-    assert cfg.max_out == 1
+    assert not hasattr(cfg, "max_out")  # every operad has the one output 1
     assert cfg.max_oprd == 8
     assert cfg.max_fol == 48
 
@@ -27,9 +27,9 @@ def test_config_is_frozen():
     [
         {"max_args": 0},
         {"max_oprd": 0},
-        {"max_out": 2},
-        {"max_out": 0},
-        {"max_fol": 5},  # below max_args
+        {"max_args": 7},  # 8 operads of 7 inputs need 56 positions
+        {"max_args": 2, "max_oprd": 3, "max_fol": 5},
+        {"max_fol": 5},  # below max_args, so below max_oprd * max_args
         {"max_fol": 47},  # below max_oprd * max_args
     ],
 )
@@ -87,6 +87,8 @@ def test_config_from_entries_defaults_missing_keys():
 def test_config_from_entries_rejects_unknown_key():
     with pytest.raises(ConfigError):
         config_from_entries({"max_arg": "4"})
+    with pytest.raises(ConfigError, match="unknown config key 'max_out'"):
+        config_from_entries({"max_out": "1"})
 
 
 def test_config_from_entries_rejects_non_integer():

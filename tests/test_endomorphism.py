@@ -231,6 +231,24 @@ def test_all_functions_guard():
         list(all_functions(4, 2))  # 4^16 tables
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: list(all_functions(-1, 1)),
+        lambda: list(all_functions(2, -1)),
+        lambda: list(all_functions(2.0, 1)),
+        lambda: sweep_identity(-1, 1),
+        lambda: sweep_parallel(-2, 2),
+        lambda: sweep_sequential(-1, 2),
+    ],
+    ids=["carrier", "arity", "float", "sweep_identity", "sweep_parallel", "sweep_sequential"],
+)
+def test_sweeps_reject_bad_bounds(call):
+    # every sweep builds its functions with all_functions, which checks them as FiniteFn does
+    with pytest.raises(BoundsError):
+        call()
+
+
 def test_sweep_sizes_and_success():
     seq = sweep_sequential(2, 1)
     assert seq.ok and seq.cases == 64 and seq.counterexample is None

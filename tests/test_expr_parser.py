@@ -175,7 +175,8 @@ def test_elaborate_rejects_atom_reuse():
         ((Declaration("f", 2),), Compose(Atom("f"), 1, None), "unknown expression node None"),
         ((Declaration("f", 2), Declaration("g", 1)), Compose(Atom("f"), "1", Atom("g")), "slot '1' is out of range"),
         ((Declaration("f", 2), Declaration("g", 1)), Compose(Atom("f"), 1.0, Atom("g")), "slot 1.0 is out of range"),
-        ((Declaration("f", "2"),), Atom("f"), "declared arity '2' of 'f' exceeds max_args"),
+        ((Declaration("f", "2"),), Atom("f"), "declared arity '2' of 'f' is not an int in 1..6"),
+        ((Declaration("f", 0),), Atom("f"), "declared arity 0 of 'f' is not an int in 1..6"),
     ],
 )
 def test_elaborate_rejects_malformed_trees(decls, expr, message):

@@ -69,7 +69,7 @@ def test_new_operad_shape():
 
 
 def test_new_operad_output_always_one():
-    # the output count is validated against max_out, which is always 1
+    # g6 takes only the int 1 as the output count
     s = new_operad(empty_state(), "f", 4, outs=1)
     assert s.out_op["f"] == frozenset({1})
 
@@ -88,7 +88,7 @@ def test_new_operad_guards():
     assert guard_label(new_operad, s, "g", 7) == "g4"  # arity is capped at max_args
     assert guard_label(new_operad, s, "g", 49) == "g4"
     assert guard_label(new_operad, s, "g", 2, 0) == "g6"
-    assert guard_label(new_operad, s, "g", 2, 2) == "g6"  # outputs are capped at max_out
+    assert guard_label(new_operad, s, "g", 2, 2) == "g6"  # every operad has the one output 1
     assert guard_label(new_operad, s, "g", 2, 7) == "g6"
 
 
@@ -259,8 +259,9 @@ def test_compose_overflow_on_merged_state():
         in_op={**s1.in_op, **s2.in_op},
         g_hat_op={**s1.g_hat_op, **s2.g_hat_op},
     )
-    with pytest.raises(OverflowFoliage):
+    with pytest.raises(OverflowFoliage) as err:
         compose_seq(merged, "f", 1, "g")
+    assert err.value.label == "overflow"
 
 
 def test_rejected_event_leaves_state_unchanged(quadratic_pair):
@@ -357,6 +358,9 @@ def test_invariant_sp2_detects_lost_position(nested_triple):
         (["invr40", "SP3"], lambda s: replace(s, hook_op={**s.hook_op, "f": "g"})),
         (["invr40", "SP2"], lambda s: replace(s, g_hook_op={"g": "zz"})),
         (["SP2", "SP3"], lambda s: replace(s, in_op={**s.in_op, "f": frozenset({1, 2, 3, 4, 5})})),
+        # 4.0 and True equal 4 and 1, so only the arity rule's type test sees them
+        (["inv30"], lambda s: replace(s, arity_op={**s.arity_op, "f": 4.0})),
+        (["inv30"], lambda s: replace(new_operad(s, "h", 1), arity_op={**s.arity_op, "h": True})),
     ],
 )
 def test_corrupted_states_report_typing_labels(quadratic_pair, labels, mutate):
