@@ -26,6 +26,16 @@ side's checkout, which holds its ``tests/``, ``README.md`` and
 ``pyproject.toml`` too, with its ``src/`` on ``PYTHONPATH``; sides
 alternate and the best of three runs is kept.
 
+It also records, per side, the traced Python line events inside
+``src/operadix`` per request of each workload, and per unit of its
+work (events for the simulator), over a fixed list of inputs: the
+first ``LINE_REQUESTS`` inputs of the workload's generator at
+``LINE_SEED``.  They run in a fresh ``python3`` on that side's
+``src/``, which imports the ``perfbench`` generators without changing
+them, twice per side, sides alternating.  Unlike the clocks, these
+counts repeat exactly across runs and processes; they miss C-level
+work, such as dict copies, so read them next to the clocks.
+
 The file is a trajectory, not evidence for a speed claim: a claim
 still needs its own alternating pairs, with seeds not used during
 development.  Standard library only; nothing under perfbench/ changes.
@@ -59,6 +69,30 @@ CRITERIA = {
     "criterion_5": "sweep_sequential(2, 2), sweep_parallel(2, 2), sweep_identity(2, 3)",
 }
 CRITERION_ROUNDS = 3
+LINE_SEED = 3
+LINE_REQUESTS = {"sim-default": 4, "sim-wide-oracle": 4, "eval": 53, "text-pipeline": 100}
+LINE_COUNTER = """\
+import itertools, json, sys
+sys.path[:0] = ["src", "perfbench"]
+import operadix
+from workloads import WORKLOADS
+package = operadix.__file__.rsplit("__init__.py", 1)[0]
+lines = 0
+def local(frame, event, arg):
+    global lines
+    lines += event == "line"
+    return local
+def enter(frame, event, arg):
+    return local if frame.f_code.co_filename.startswith(package) else None
+workload = WORKLOADS[{name!r}](operadix, {seed})
+units = 0
+for inp in itertools.islice(workload.inputs(), {requests}):
+    sys.settrace(enter)
+    out = workload.request(inp, lambda fn, *args: fn(*args))
+    sys.settrace(None)
+    units += workload.units(inp, out)
+print(json.dumps({{"lines": lines, "units": units}}))
+"""
 TIMER = """\
 import time
 from operadix import SimConfig, run, sweep_identity, sweep_parallel, sweep_sequential
@@ -148,6 +182,34 @@ def time_criteria(sides: dict[str, Path]) -> dict[str, dict[str, dict]]:
     }
 
 
+def line_events(checkout: Path, workload: str) -> dict:
+    """Traced src/operadix line events over the workload's fixed inputs, in a fresh interpreter."""
+    requests = LINE_REQUESTS[workload]
+    code = LINE_COUNTER.format(name=workload, seed=LINE_SEED, requests=requests)
+    proc = subprocess.run([sys.executable, "-B", "-c", code], cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"line count of {workload} in {checkout} failed:\n{proc.stderr}")
+    counted = json.loads(proc.stdout.strip().splitlines()[-1])
+    per_unit = counted["lines"] / counted["units"] if counted["units"] else None
+    return {**counted, "requests": requests, "per_request": counted["lines"] / requests, "per_unit": per_unit}
+
+
+def count_lines(sides: dict[str, Path]) -> dict[str, dict[str, dict]]:
+    """Line events per workload and side; two runs per side, sides alternating."""
+    runs: dict[str, dict[str, list[dict]]] = {}
+    for w in BENCHMARK["workloads"]:
+        runs[w["name"]] = {side: [] for side in sides}
+        for turn in range(2):
+            for side in list(sides) if turn % 2 == 0 else list(reversed(sides)):
+                runs[w["name"]][side].append(line_events(sides[side], w["name"]))
+    counts = {}
+    for workload, by_side in runs.items():
+        counts[workload] = {side: {**pair[0], "repeats_equal": pair[0] == pair[1]} for side, pair in by_side.items()}
+        shown = {side: f"{entry['per_request']:.1f}" for side, entry in counts[workload].items()}
+        print(f"lines per request {workload}: {shown}", file=sys.stderr)
+    return counts
+
+
 def tier1_once(checkout: Path) -> dict:
     """Wall time and passed count of one tier-1 run in checkout, on its src/."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
@@ -201,6 +263,7 @@ def main(argv=None) -> int:
         change_commit = copy_worktree(change_dir)
         sides = {"parent": parent_dir, "change": change_dir}
         lines = {side: src_lines(checkout) for side, checkout in sides.items()}
+        line_counts = count_lines(sides)
         criteria = time_criteria(sides)
         tier1 = time_tier1(sides)
         runs: dict[str, dict[str, list[dict]]] = {}
@@ -221,6 +284,7 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "src_lines": lines,
         "criteria": criteria,
+        "line_events": {"seed": LINE_SEED, "workloads": line_counts},
         "tier1": tier1,
         "seconds": seconds,
         "seeds": list(SEEDS),

@@ -15,7 +15,6 @@ from .core import (
     ElaborationError,
     GuardFailed,
     OperadError,
-    OverflowFoliage,
     ParseError,
     StateFormatError,
 )

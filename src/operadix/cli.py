@@ -26,11 +26,11 @@ import re
 import sys
 
 from .core import BoundsError, Config, OperadError, config_from_entries, parse_config_entries
-from .decoration import check_gluing, decorated_to_json, load_decorated
+from .decoration import _read_decorated, check_gluing, decorated_to_json
 from .endomorphism import format_fn, interpret, parse_fn_spec, sweep_identity, sweep_parallel, sweep_sequential
 from .expr_parser import elaborate, parse, print_program
 from .flat_machine import check_invariants
-from .serialize import dump_state, load_state, state_to_json
+from .serialize import _read_state, dump_state, state_to_json
 from .simulator import SimConfig, format_report, format_trace, parse_trace, replay, report_to_json, run
 
 
@@ -110,11 +110,11 @@ def _is_decorated(text: str) -> bool:
 def cmd_check(args, cfg: Config) -> int:
     text = _read(args.file)
     if _is_decorated(text):
-        decorated = load_decorated(text, cfg)
+        decorated = _read_decorated(text, cfg)
         bad = check_invariants(decorated.base)
         glue = check_gluing(decorated)
     else:
-        bad = check_invariants(load_state(text, cfg))
+        bad = check_invariants(_read_state(text, cfg))
         glue = []
     if args.json:
         _emit_json({"ok": not bad and not glue, "violations": bad, "gluing": glue})
@@ -195,9 +195,9 @@ def cmd_eval(args, cfg: Config) -> int:
 def cmd_export(args, cfg: Config) -> int:
     text = _read(args.file)
     if _is_decorated(text):
-        payload = decorated_to_json(load_decorated(text, cfg))
+        payload = decorated_to_json(_read_decorated(text, cfg))
     else:
-        payload = state_to_json(load_state(text, cfg))
+        payload = state_to_json(_read_state(text, cfg))
     _emit_json(payload)
     return 0
 

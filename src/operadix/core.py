@@ -58,14 +58,6 @@ class GuardFailed(OperadError):
         super().__init__(f"[{label}] {message}")
 
 
-class OverflowFoliage(GuardFailed):
-    """The guard ``overflow``: relabelling would push a position past max_fol.
-
-    Unreachable from the empty state, because creation already budgets
-    the whole foliage.  Hand-built states can still trip it.
-    """
-
-
 class ParseError(OperadError):
     """Lexical or syntax error in an expression program."""
 
@@ -84,7 +76,7 @@ class CarrierMismatch(OperadError):
 
 
 class StateFormatError(OperadError):
-    """A state dump did not follow the section/entry format."""
+    """A state dump broke the section/entry format, or its state is not well-formed."""
 
 
 @dataclass(frozen=True)

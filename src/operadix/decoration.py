@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 from .core import BoundsError, Config, GuardFailed, OperadId, Position, StateFormatError
 from .flat_machine import FlatState, compose_seq_with_witness, empty_state, new_operad
-from .serialize import SECTIONS, _read_entries, _state_from_entries, dump_state, state_to_json
+from .serialize import SECTIONS, _read_entries, _state_from_entries, _well_formed, dump_state, state_to_json
 
 _SYMBOL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -189,6 +189,14 @@ _EXTRA_SECTIONS = ("alphabet", "inx", "outx")
 
 
 def load_decorated(text: str, config: Config | None = None) -> DecoratedState:
+    """Parse a decorated dump; its base state must be well-formed, as in load_state."""
+    decorated = _read_decorated(text, config)
+    _well_formed(decorated.base)
+    return decorated
+
+
+def _read_decorated(text: str, config: Config | None = None) -> DecoratedState:
+    """The decorated state of a dump, checked for the format and the alphabet only."""
     entries = list(_read_entries(text, SECTIONS + _EXTRA_SECTIONS))
     base = _state_from_entries((e for e in entries if e[1] in SECTIONS), config)
     alphabet: tuple[str, ...] | None = None

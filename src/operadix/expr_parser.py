@@ -16,8 +16,8 @@ Parsing checks shape only, and caps nesting: parentheses or
 compositions nested deeper than MAX_DEPTH are rejected, so that the
 recursive walks over a parsed tree (elaboration, printing, evaluation)
 stay within Python's stack.  Elaboration turns the tree into the event
-sequence that builds it on the grafting machine, checking slot bounds
-and single use of each atom along the way.
+sequence that builds it on the grafting machine, checking the declared
+arities, slot bounds and single use of each atom along the way.
 """
 
 from __future__ import annotations
@@ -129,10 +129,7 @@ class _Parser:
         if name in self.declared:
             raise ParseError(f"operad {name!r} declared twice", name_tok.line, name_tok.col)
         self.take("colon", "':'")
-        arity_tok = self.take("int", "arity")
-        arity = int(arity_tok.value)
-        if arity < 1:
-            raise ParseError(f"arity must be at least 1, got {arity}", arity_tok.line, arity_tok.col)
+        arity = int(self.take("int", "arity").value)
         self.take("semi", "';'")
         self.declared[name] = arity
         return Declaration(name, arity)

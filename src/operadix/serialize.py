@@ -6,8 +6,9 @@ position sets rendered with numerically sorted elements.  Dumping and
 loading round-trip exactly, so dumps double as frozen test fixtures
 and as the on-disk state format of the command line tool.
 
-The bounds config is not part of a dump; the loader takes it
-separately, defaulting to the standard bounds.
+The bounds config is not part of a dump; the loaders take it
+separately, defaulting to the standard bounds, and reject a state that
+check_invariants flags: a state from outside is checked where it enters.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import re
 from collections.abc import Iterable, Iterator
 
 from .core import Config, StateFormatError, is_operad_id
-from .flat_machine import FlatState
+from .flat_machine import FlatState, check_invariants
 
 SECTIONS = ("operads", "arity", "foliage", "in", "out", "hat", "hook", "ghook")
 
@@ -86,13 +87,24 @@ def _read_entries(text: str, sections: tuple[str, ...]) -> Iterator[tuple[int, s
 
 
 def load_state(text: str, config: Config | None = None) -> FlatState:
-    """Parse a dump back into a state.
+    """Parse a dump back into a state, which must be well-formed.
 
-    Only the line format is validated here; a loaded state may violate
-    machine invariants on purpose, that is what check_invariants is
-    for.
+    Raises StateFormatError on a line that breaks the format, and on a
+    state that check_invariants flags, naming its labels.
     """
+    return _well_formed(_read_state(text, config))
+
+
+def _read_state(text: str, config: Config | None = None) -> FlatState:
+    """The state of a dump, checked for the line format only."""
     return _state_from_entries(_read_entries(text, SECTIONS), config)
+
+
+def _well_formed(state: FlatState) -> FlatState:
+    bad = check_invariants(state)
+    if bad:
+        raise StateFormatError(f"state violates {', '.join(bad)}")
+    return state
 
 
 def _state_from_entries(entries: Iterable[tuple[int, str, str]], config: Config | None = None) -> FlatState:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from operadix import (
     Config,
-    check_invariants,
+    StateFormatError,
     compose_seq_x,
     dump_decorated,
     dump_state,
@@ -22,6 +22,7 @@ from operadix import (
     new_operad_x,
     parse_trace,
     replay,
+    state_to_json,
 )
 from operadix.cli import main
 
@@ -77,6 +78,13 @@ def test_parse_reports_syntax_error(tmp_path, capsys):
     assert main(["parse", str(path)]) == 1
     err = capsys.readouterr().err
     assert "error" in err and "1:8" in err
+
+
+def test_parse_leaves_the_arity_rule_to_elaborate(tmp_path, capsys):
+    path = tmp_path / "zero.op"
+    path.write_text("f:0; f\n")
+    assert main(["parse", str(path)]) == 1
+    assert capsys.readouterr().err == "error: declared arity 0 of 'f' is not an int in 1..6\n"
 
 
 def test_parse_reads_stdin(monkeypatch, capsys):
@@ -177,12 +185,17 @@ UNREACHABLE = {
 
 @pytest.mark.parametrize("build", UNREACHABLE.values(), ids=UNREACHABLE.keys())
 def test_check_rejects_unreachable_states(tmp_path, capsys, build):
-    text = dump_state(build())
-    assert check_invariants(load_state(text)) != []
+    state = build()
+    text = dump_state(state)
+    with pytest.raises(StateFormatError, match=r"^state violates "):
+        load_state(text)
     path = tmp_path / "unreachable.dump"
     path.write_text(text)
     assert main(["check", str(path)]) == 2
     assert capsys.readouterr().out.startswith("violated: ")
+    # check and export read a dump as it is
+    assert main(["export", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == state_to_json(state)
 
 
 def decorated_dump():
@@ -243,6 +256,14 @@ def test_eval_program(tmp_path, capsys):
     path.write_text("f:2; g:1; f o_1 g\n")
     assert main(["eval", str(path), "--fn", "f=2:0110", "--fn", "g=2:10"]) == 0
     assert capsys.readouterr().out == "2:1001\n"
+
+
+def test_eval_binds_a_declared_constant(tmp_path, capsys):
+    # a 0-ary declaration parses, and circ consumes the slot it fills
+    path = tmp_path / "x.op"
+    path.write_text("g:2; c:0; g o_1 c\n")
+    assert main(["eval", str(path), "--fn", "g=2:0110", "--fn", "c=2:1"]) == 0
+    assert capsys.readouterr().out == "2:10\n"
 
 
 def test_eval_missing_binding(tmp_path, capsys):
@@ -474,11 +495,13 @@ def test_mutated_texts_never_raise(fuzz_program, target, edits):
     argv = [fuzz_program if arg == "{program}" else mutant if arg == "{mutant}" else arg for arg in argv]
     code, _ = run_main(argv, mutant)
     if argv[0] == "check" and code != 1:
-        # a dump that check loads exports, and its re-dump exports the same
-        code, exported_text = run_main(["export", "-"], mutant)
-        assert code == 0
-        exported = json.loads(exported_text)
-        redump = (
-            dump_decorated(load_decorated(mutant)) if "alphabet" in exported else dump_state(load_state(mutant))
-        )
-        assert json.loads(run_main(["export", "-"], redump)[1]) == exported
+        # a dump that check reads exports; one that it passes loads, and
+        # its re-dump exports the same
+        export_code, exported_text = run_main(["export", "-"], mutant)
+        assert export_code == 0
+        if code == 0:
+            exported = json.loads(exported_text)
+            redump = (
+                dump_decorated(load_decorated(mutant)) if "alphabet" in exported else dump_state(load_state(mutant))
+            )
+            assert json.loads(run_main(["export", "-"], redump)[1]) == exported

@@ -231,6 +231,12 @@ def test_load_decorated_reports_true_line_numbers():
         load_decorated("[operads]\n[alphabet]\nbroken\n")
 
 
+def test_load_decorated_rejects_a_broken_base_state():
+    text = dump_decorated(decorated_pair()).replace("in: g->{2,3}", "in: g->{2,3,4}")
+    with pytest.raises(StateFormatError, match=r"^state violates SP2, SP3$"):
+        load_decorated(text)
+
+
 def test_load_decorated_skips_comments_in_every_section():
     text = dump_decorated(decorated_pair())
     commented = text.replace("[inx]\n", "[inx]\n# note\n").replace("[outx]\n", "[outx]\n  # x\n")

@@ -67,7 +67,6 @@ def test_alias_comment_whitespace_forms(src):
         ("f:2; f $ g", 1, 8),
         ("f:2; g", 1, 6),  # undeclared
         ("f:2; f:3; f", 1, 6),  # duplicate declaration
-        ("f:0; f", 1, 3),  # arity below 1
         ("f:2; (f o_1 f", 1, 14),  # unclosed paren
         ("f:2;", 1, 5),  # no expression
         ("", 1, 1),
@@ -190,6 +189,14 @@ def test_elaborate_caps_declared_arity():
         elaborate(*parse("f:7; f"))
     big = Config(max_args=7, max_oprd=8, max_fol=56)
     assert elaborate(*parse("f:7; f"), config=big) == [NewOperad("f", 7)]
+
+
+def test_elaborate_rejects_arity_below_one():
+    # the parser reads any arity; both halves of the arity rule are elaborate's
+    decls, expr = parse("f:0; f")
+    assert decls == (Declaration("f", 0),)
+    with pytest.raises(ElaborationError, match=re.escape("declared arity 0 of 'f' is not an int in 1..6")):
+        elaborate(decls, expr)
 
 
 def test_slot_arithmetic_against_machine():

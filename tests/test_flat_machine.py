@@ -11,7 +11,7 @@ from operadix import (
     Config,
     GuardFailed,
     NewOperad,
-    OverflowFoliage,
+    StateFormatError,
     apply_event,
     check_invariants,
     component_of,
@@ -121,9 +121,12 @@ def test_new_operad_count_bound():
 
 def test_new_operad_foliage_budget():
     # events alone cannot fill the budget (max_fol >= max_oprd * max_args),
-    # so the foliage is filled by hand
-    s = replace(empty_state(), foliage=frozenset((p, "f") for p in range(1, 49)))
-    assert guard_label(new_operad, s, "g", 1) == "g28"
+    # so the foliage is filled by hand, up to one slot short of max_fol = 48
+    s = replace(empty_state(), foliage=frozenset((p, "f") for p in range(1, 48)))
+    full = new_operad(s, "g", 1)
+    assert len(full.foliage) == 48
+    with pytest.raises(GuardFailed, match=r"^\[g28\] foliage would grow to 49, past max_fol = 48$"):
+        new_operad(full, "h", 1)
 
 
 def test_compose_binary_into_quaternary(quadratic_pair):
@@ -214,39 +217,13 @@ def test_compose_guards(quadratic_pair):
     assert guard_label(compose_seq, s, "f", 9, "h") == "rg72"
 
 
-def test_compose_defensive_guards(quadratic_pair):
-    # these fire only on hand-tampered or loaded states, never after events
-    s = new_operad(quadratic_pair, "h", 1)
-    foreign = replace(s, g_hat_op={**s.g_hat_op, (2, "f"): "h"})
-    assert guard_label(compose_seq, foreign, "f", 2, "h") == "rg62"
-    # compose reads every member's new inputs off the hats, so a foreign
-    # owner on any slot of either side fails, not only on slot ii
-    foreign_low = replace(s, g_hat_op={**s.g_hat_op, (4, "f"): "h"})
-    assert guard_label(compose_seq, foreign_low, "f", 2, "h") == "rg62"
-    t = new_operad(new_operad(quadratic_pair, "h", 2), "k", 1)
-    foreign_grafted = replace(t, g_hat_op={**t.g_hat_op, (2, "h"): "k"})
-    assert guard_label(compose_seq, foreign_grafted, "f", 1, "h") == "rg62"
-    no_inputs = replace(s, in_op={k: v for k, v in s.in_op.items() if k != "g"})
-    assert guard_label(compose_seq, no_inputs, "f", 2, "h") == "rg64"
-    drained = replace(s, in_op={**s.in_op, "g": frozenset()})
-    assert guard_label(compose_seq, drained, "f", 2, "h") == "rg70"
-
-
-def test_compose_rejects_members_without_inputs():
-    # a member of either composite with no in_op entry fails rg64, on a
-    # hand-built state and on the same state loaded from its dump
-    s = build(NewOperad("f", 2), NewOperad("g", 2))
-    orphan = replace(s, g_hook_op={"zz": "g"})
-    for state in (orphan, load_state(dump_state(orphan))):
-        with pytest.raises(GuardFailed, match=r"\[rg64\] composite member 'zz' has no input map"):
-            compose_seq(state, "f", 1, "g")
-        with pytest.raises(GuardFailed, match="rg64"):
-            compose_seq(replace(state, g_hook_op={"zz": "f"}), "f", 1, "g")
-
-
-def test_compose_overflow_on_merged_state():
+def ill_formed_states():
+    """States no event sequence builds, each with its check_invariants labels."""
+    s = build(NewOperad("f", 4), NewOperad("g", 2), ComposeSeq("f", 2, "g"), NewOperad("h", 1))
+    t = build(NewOperad("f", 4), NewOperad("g", 2), ComposeSeq("f", 2, "g"), NewOperad("h", 2), NewOperad("k", 1))
+    two = build(NewOperad("f", 2), NewOperad("g", 2))
     # two roots this big cannot arise through events (the creation budget
-    # blocks the second), so the overflow check needs a stitched state
+    # blocks the second), so they are stitched together
     wide = Config(max_args=41, max_oprd=1, max_fol=48)
     s1 = new_operad(empty_state(wide), "f", 41)
     s2 = new_operad(empty_state(wide), "g", 9)
@@ -259,9 +236,28 @@ def test_compose_overflow_on_merged_state():
         in_op={**s1.in_op, **s2.in_op},
         g_hat_op={**s1.g_hat_op, **s2.g_hat_op},
     )
-    with pytest.raises(OverflowFoliage) as err:
-        compose_seq(merged, "f", 1, "g")
-    assert err.value.label == "overflow"
+    return {
+        # a slot owner outside its composite, on slot ii, below it, or in op2's composite
+        "foreign": (replace(s, g_hat_op={**s.g_hat_op, (2, "f"): "h"}), ["SP2"]),
+        "foreign_low": (replace(s, g_hat_op={**s.g_hat_op, (4, "f"): "h"}), ["SP2"]),
+        "foreign_grafted": (replace(t, g_hat_op={**t.g_hat_op, (2, "h"): "k"}), ["SP2"]),
+        "no_inputs": (replace(s, in_op={k: v for k, v in s.in_op.items() if k != "g"}), ["invr10", "SP2", "SP3"]),
+        "drained": (replace(s, in_op={**s.in_op, "g": frozenset()}), ["SP2", "SP3"]),
+        # a member with no in_op entry, under either root
+        "orphan": (replace(two, g_hook_op={"zz": "g"}), ["invr40"]),
+        "orphan_under_f": (replace(two, g_hook_op={"zz": "f"}), ["invr40"]),
+        # 50 slots past max_fol = 48, and two operads past max_oprd = 1
+        "merged": (merged, ["inv10", "inv40"]),
+    }
+
+
+@pytest.mark.parametrize("name", ill_formed_states())
+def test_ill_formed_states_fail_at_the_loaders(name):
+    # compose assumes a well-formed state; the loaders are where one is checked
+    state, labels = ill_formed_states()[name]
+    assert check_invariants(state) == labels
+    with pytest.raises(StateFormatError, match=f"^state violates {', '.join(labels)}$"):
+        load_state(dump_state(state), state.config)
 
 
 def test_rejected_event_leaves_state_unchanged(quadratic_pair):

@@ -14,6 +14,7 @@ definitions kept here.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,7 @@ from operadix import (
     check_invariants,
     compare_with_flat,
     component_of,
+    compose_seq,
     derive_flat_view,
     elementary,
     empty_state,
@@ -134,6 +136,29 @@ def test_corpus_exercises_every_label():
     for _, bad, _ in corpus_mutations():
         seen.update(check_invariants(bad))
     assert seen == {"inv10", "inv30", "inv40", "inv60", "invr10", "invr20", "invr40", "SP1", "SP2", "SP3"}
+
+
+def test_compose_keeps_the_precondition():
+    # on a well-formed state, compose fails one of its six guards or returns
+    # a well-formed state, for every pair of operads (and an unknown one)
+    # and every position from 0 to one past the largest; each guard fires
+    outcomes = Counter()
+    for state in reachable_states():
+        pool = sorted(state.my_operads) + ["zz"]
+        for ii in range(max(p for p, _ in state.foliage) + 2):
+            for op1 in pool:
+                for op2 in pool:
+                    try:
+                        after = compose_seq(state, op1, ii, op2)
+                    except GuardFailed as err:
+                        outcomes[err.label] += 1
+                    else:
+                        outcomes["fired"] += 1
+                        assert check_invariants(after) == [], (op1, ii, op2)
+    assert outcomes == {
+        "op-distinct": 12600, "rg20": 10768, "rg22": 10768, "rg24": 13403, "rg26": 39587, "rg72": 4207,
+        "fired": 3895,
+    }
 
 
 event_plans = st.lists(

@@ -136,15 +136,16 @@ def test_load_error_mentions_line_number():
 
 
 def test_loaded_corrupt_state_reaches_checker():
-    # the loader only validates shape; the checker owns semantics
+    # the line format holds, so the loader runs the checker and names its labels
     text = FULL_DUMP.replace("in: g->{2,3}", "in: g->{2,3,4}")
-    assert check_invariants(load_state(text)) == ["SP2", "SP3"]
+    with pytest.raises(StateFormatError, match=r"^state violates SP2, SP3$"):
+        load_state(text)
 
 
 def test_zero_position_loads_but_fails_invariants():
-    # 0 fits the line grammar; positions being 1-based is semantics
-    s = load_state("[operads]\noperads: f\n[foliage]\nfoliage: (0,f)\n")
-    assert "inv40" in check_invariants(s)
+    # 0 fits the line grammar; positions being 1-based is the checker's inv40
+    with pytest.raises(StateFormatError, match=r"^state violates .*inv40"):
+        load_state("[operads]\noperads: f\n[foliage]\nfoliage: (0,f)\n")
 
 
 def test_state_to_json_shape():
