@@ -34,7 +34,12 @@ first ``LINE_REQUESTS`` inputs of the workload's generator at
 ``src/``, which imports the ``perfbench`` generators without changing
 them, twice per side, sides alternating.  Unlike the clocks, these
 counts repeat exactly across runs and processes; they miss C-level
-work, such as dict copies, so read them next to the clocks.
+work, such as dict copies, so read them next to the clocks.  The same
+counter, in the same way, also gives the traced line events per event
+of one ``run()`` at each ``max_oprd`` of ``SCALING_OPRD``, with
+``max_fol = 6 * max_oprd``, seed ``SCALING_SEED`` and
+``SCALING_STEPS`` steps, the oracle off and after every event: how the
+cost of an event grows with the bounds.
 
 The file is a trajectory, not evidence for a speed claim: a claim
 still needs its own alternating pairs, with seeds not used during
@@ -71,11 +76,13 @@ CRITERIA = {
 CRITERION_ROUNDS = 3
 LINE_SEED = 3
 LINE_REQUESTS = {"sim-default": 4, "sim-wide-oracle": 4, "eval": 53, "text-pipeline": 100}
-LINE_COUNTER = """\
+SCALING_OPRD = (8, 32, 128)
+SCALING_SEED = 7
+SCALING_STEPS = 500
+TRACER = """\
 import itertools, json, sys
 sys.path[:0] = ["src", "perfbench"]
 import operadix
-from workloads import WORKLOADS
 package = operadix.__file__.rsplit("__init__.py", 1)[0]
 lines = 0
 def local(frame, event, arg):
@@ -84,6 +91,9 @@ def local(frame, event, arg):
     return local
 def enter(frame, event, arg):
     return local if frame.f_code.co_filename.startswith(package) else None
+"""
+LINE_COUNTER = TRACER + """\
+from workloads import WORKLOADS
 workload = WORKLOADS[{name!r}](operadix, {seed})
 units = 0
 for inp in itertools.islice(workload.inputs(), {requests}):
@@ -92,6 +102,14 @@ for inp in itertools.islice(workload.inputs(), {requests}):
     sys.settrace(None)
     units += workload.units(inp, out)
 print(json.dumps({{"lines": lines, "units": units}}))
+"""
+SCALING_COUNTER = TRACER + """\
+config = operadix.Config(max_oprd={max_oprd}, max_fol={max_fol})
+sim = operadix.SimConfig(seed={seed}, max_steps={steps}, config=config, oracle_check_every={every})
+sys.settrace(enter)
+report = operadix.run(sim)
+sys.settrace(None)
+print(json.dumps({{"lines": lines, "units": report.steps}}))
 """
 TIMER = """\
 import time
@@ -182,14 +200,19 @@ def time_criteria(sides: dict[str, Path]) -> dict[str, dict[str, dict]]:
     }
 
 
+def traced(checkout: Path, code: str, what: str) -> dict:
+    """Run one counter script in a fresh interpreter on checkout; its lines and units."""
+    proc = subprocess.run([sys.executable, "-B", "-c", code], cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"line count of {what} in {checkout} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def line_events(checkout: Path, workload: str) -> dict:
     """Traced src/operadix line events over the workload's fixed inputs, in a fresh interpreter."""
     requests = LINE_REQUESTS[workload]
     code = LINE_COUNTER.format(name=workload, seed=LINE_SEED, requests=requests)
-    proc = subprocess.run([sys.executable, "-B", "-c", code], cwd=checkout, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"line count of {workload} in {checkout} failed:\n{proc.stderr}")
-    counted = json.loads(proc.stdout.strip().splitlines()[-1])
+    counted = traced(checkout, code, workload)
     per_unit = counted["lines"] / counted["units"] if counted["units"] else None
     return {**counted, "requests": requests, "per_request": counted["lines"] / requests, "per_unit": per_unit}
 
@@ -207,6 +230,28 @@ def count_lines(sides: dict[str, Path]) -> dict[str, dict[str, dict]]:
         counts[workload] = {side: {**pair[0], "repeats_equal": pair[0] == pair[1]} for side, pair in by_side.items()}
         shown = {side: f"{entry['per_request']:.1f}" for side, entry in counts[workload].items()}
         print(f"lines per request {workload}: {shown}", file=sys.stderr)
+    return counts
+
+
+def count_scaling(sides: dict[str, Path]) -> dict[str, dict[str, dict]]:
+    """Line events per event of one run() per max_oprd, oracle off and on; two runs per side, alternating."""
+    counts = {}
+    for max_oprd in SCALING_OPRD:
+        for every in (0, 1):
+            name = f"max_oprd={max_oprd} oracle_check_every={every}"
+            code = SCALING_COUNTER.format(
+                max_oprd=max_oprd, max_fol=6 * max_oprd, seed=SCALING_SEED, steps=SCALING_STEPS, every=every,
+            )
+            runs: dict[str, list[dict]] = {side: [] for side in sides}
+            for turn in range(2):
+                for side in list(sides) if turn % 2 == 0 else list(reversed(sides)):
+                    runs[side].append(traced(sides[side], code, name))
+            counts[name] = {
+                side: {**pair[0], "per_event": pair[0]["lines"] / pair[0]["units"], "repeats_equal": pair[0] == pair[1]}
+                for side, pair in runs.items()
+            }
+            shown = {side: f"{entry['per_event']:.1f}" for side, entry in counts[name].items()}
+            print(f"lines per event {name}: {shown}", file=sys.stderr)
     return counts
 
 
@@ -264,6 +309,7 @@ def main(argv=None) -> int:
         sides = {"parent": parent_dir, "change": change_dir}
         lines = {side: src_lines(checkout) for side, checkout in sides.items()}
         line_counts = count_lines(sides)
+        scaling = count_scaling(sides)
         criteria = time_criteria(sides)
         tier1 = time_tier1(sides)
         runs: dict[str, dict[str, list[dict]]] = {}
@@ -285,6 +331,9 @@ def main(argv=None) -> int:
         "src_lines": lines,
         "criteria": criteria,
         "line_events": {"seed": LINE_SEED, "workloads": line_counts},
+        "run_line_events": {
+            "seed": SCALING_SEED, "steps": SCALING_STEPS, "max_fol": "6 * max_oprd", "configs": scaling,
+        },
         "tier1": tier1,
         "seconds": seconds,
         "seeds": list(SEEDS),

@@ -226,11 +226,12 @@ def compose_seq_with_witness(
     dataclasses.replace is the caller's to check.  Each member's new
     input set is read off the relabelled slot map, witness.moved(hat1, hat2).
 
-    Cost: O(component) for the guards, the new input sets and the hats
-    of op1 and op2, read from the per-root index of the old state.
-    Building the new state is O(state): g_hat_op is filtered and
-    foliage copied, entry by entry, and the new state's index is
-    derived again from its relations on first use.
+    Cost: the Python work is O(component): the guards, the new input
+    sets and the hats of op1 and op2, read from the per-root index of
+    the old state, and the deletion of those two roots' old hats.
+    Building the new state also copies g_hat_op, foliage, in_op and
+    the hook maps, in C, and its index is derived again from its
+    relations on first use, in O(state).
     """
     if op1 == op2:
         raise GuardFailed("op-distinct", f"cannot compose {op1!r} with itself")
@@ -264,12 +265,15 @@ def compose_seq_with_witness(
     for oo, slots in owned.items():
         in_op[oo] = frozenset(slots)
 
-    # Hat entries owned by op1 or op2, and every entry keyed to op2's
-    # former root role, are purged before the rebuilt component is merged
-    # back in under op1's key.
-    new_g_hat = {
-        key: m for key, m in state.g_hat_op.items() if m not in (op1, op2) and key[1] != op2
-    }
+    # Delete op2's hats and those op1 owns (its input set, by SP2), then
+    # add the rebuilt hats under op1's key: the hats of op1's other
+    # members are overwritten in place and keep their position in
+    # g_hat_op's order.
+    new_g_hat = dict(state.g_hat_op)
+    for p in hat2:
+        del new_g_hat[p, op2]
+    for p in state.in_op[op1]:
+        del new_g_hat[p, op1]
     new_g_hat.update({(p, op1): m for p, m in hats.items()})
     out_op = dict(state.out_op)
     out_op.pop(op2, None)

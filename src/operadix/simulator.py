@@ -3,7 +3,11 @@
 The simulator fires random create and compose events against one
 machine state, checks every invariant after every fired event, and can
 mirror the whole run on the tree side to cross-check the two
-representations.  A run is fully determined by its SimConfig: the
+representations.  The mirrors live in one MirrorForest, updated in
+O(component) per event; an oracle check is one equality per relation
+between the state and the forest, and only when it fails are the roots
+compared one by one with compare_with_flat, whose labels the report
+carries.  A run is fully determined by its SimConfig: the
 sampler draws from a seeded Mersenne Twister and never iterates an
 unordered container, so the same config always produces the same
 report, byte for byte.
@@ -37,7 +41,7 @@ from .flat_machine import (
     roots,
 )
 from .serialize import dump_state
-from .tree_oracle import TreeOperad, compare_with_flat, elementary, graft
+from .tree_oracle import MirrorForest, compare_with_flat
 
 RNG_NAME = "mt19937"
 _DIGITS = frozenset("0123456789")
@@ -96,7 +100,7 @@ def run(sim: SimConfig) -> SimReport:
     rng = random.Random(sim.seed)
     cfg = sim.config
     state = empty_state(cfg)
-    mirrors: dict[str, TreeOperad] = {}
+    forest = MirrorForest()
     track_mirrors = sim.oracle_check_every > 0
 
     fired: dict[str, int] = {}
@@ -119,7 +123,7 @@ def run(sim: SimConfig) -> SimReport:
             deadlock_dumps.append(dump_state(state))
             trace.append(TraceReset())
             state = empty_state(cfg)
-            mirrors = {}
+            forest = MirrorForest()
             continue
 
         # toss on every draw: testing can_compose first would change the random stream
@@ -158,18 +162,19 @@ def run(sim: SimConfig) -> SimReport:
 
         if track_mirrors:
             if isinstance(event, NewOperad):
-                mirrors[event.op_id] = elementary(event.op_id, event.arity)
+                forest.new(event.op_id, event.arity)
             else:
-                grafted = mirrors.pop(event.op2)
-                mirrors[event.op1] = graft(mirrors[event.op1], event.pos, grafted)
+                forest.graft(event.op1, event.pos, event.op2)
             if fired_count % sim.oracle_check_every == 0:
                 oracle_checks += 1
-                for root_id in sorted(mirrors):
-                    problems = compare_with_flat(state, root_id, mirrors[root_id])
-                    if problems:
-                        violations.append(
-                            Violation(fired_count, "oracle", tuple(problems), event, dump_state(state))
-                        )
+                if not forest.agrees_with(state):
+                    # a mismatch: compare root by root, for its exact labels
+                    for root_id in sorted(forest.trees):
+                        problems = compare_with_flat(state, root_id, forest.trees[root_id])
+                        if problems:
+                            violations.append(
+                                Violation(fired_count, "oracle", tuple(problems), event, dump_state(state))
+                            )
 
     return SimReport(
         seed=sim.seed,

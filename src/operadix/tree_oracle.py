@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 from .core import BoundsError, OperadError, OperadId, Position
 from .flat_machine import FlatState, component_of, foliage_of, hat_map_of
@@ -158,11 +159,14 @@ def compare_with_flat(state: FlatState, root: OperadId, tree: TreeOperad) -> lis
     with no in_op or arity_op entry shows up as an in or arity
     mismatch.
 
-    Cost: O(component).  The tree is walked once in its lifetime (the
-    walk is cached on it), the machine side is read through the
-    state's per-root index, and each member costs one lookup in in_op,
-    hook_op, arity_op and out_op.  The index itself is built once per
-    state, in O(state), and shared by every root compared against it.
+    Cost: O(component) per root.  The tree is walked once in its
+    lifetime (the walk is cached on it), the machine side is read
+    through the state's per-root index, and each member costs one
+    lookup in in_op, hook_op, arity_op and out_op.  The index itself is
+    built once per state, in O(state), and shared by every root
+    compared against it.  To check a whole state against all its
+    mirrors, MirrorForest.agrees_with is cheaper; this comparison then
+    only explains a mismatch, root by root.
     """
     problems: list[str] = []
     view, arities = tree._walked
@@ -205,3 +209,82 @@ def compare_with_flat(state: FlatState, root: OperadId, tree: TreeOperad) -> lis
             problems.append(f"out: grafted member {member!r} still has outputs")
 
     return problems
+
+
+_OUT = frozenset({1})
+
+
+class MirrorForest:
+    """The mirror trees of a run and the flat relations they describe together.
+
+    trees maps each root to its tree, keyed by the tree's own label.
+    The other attributes are the union of the trees' cached flat views,
+    in the machine's vocabulary: arity_op and in_op on every node,
+    g_hat_op keyed (position, root), and hook_op and g_hook_op on every
+    grafted node.  The foliage pairs are the keys of g_hat_op, since a
+    tree's leaves are its foliage.  Labels never repeat across the
+    trees, so the union is disjoint and each tree's view is its slice.
+
+    Cost: new and graft are O(component): they drop the entries of the
+    trees they replace and add those of the new tree, read off its
+    walk.  agrees_with is one comparison per relation, done in C.
+    """
+
+    def __init__(self) -> None:
+        self.trees: dict[OperadId, TreeOperad] = {}
+        self.arity_op: dict[OperadId, int] = {}
+        self.in_op: dict[OperadId, frozenset[Position]] = {}
+        self.g_hat_op: dict[tuple[Position, OperadId], OperadId] = {}
+        self.hook_op: dict[OperadId, OperadId] = {}
+        self.g_hook_op: dict[OperadId, OperadId] = {}
+
+    def new(self, label: OperadId, arity: int) -> None:
+        """Add the elementary tree of label as a new root."""
+        if label in self.arity_op:
+            raise DuplicateLabels(f"label already in the forest: {label}")
+        self._add(elementary(label, arity))
+
+    def graft(self, op1: OperadId, ii: Position, op2: OperadId) -> None:
+        """Replace the trees of roots op1 and op2 by op2's grafted into leaf ii of op1's."""
+        grafted = graft(self.trees[op1], ii, self.trees[op2])
+        self._drop(op1)
+        self._drop(op2)
+        self._add(grafted)
+
+    def _add(self, tree: TreeOperad) -> None:
+        view, arities = tree._walked
+        root = tree.label
+        self.trees[root] = tree
+        self.arity_op.update(arities)
+        self.in_op.update(view.in_map)
+        self.g_hat_op.update(zip(zip(view.hat_map, repeat(root)), view.hat_map.values()))
+        self.hook_op.update(view.hook_map)
+        self.g_hook_op.update(dict.fromkeys(view.hook_map, root))
+
+    def _drop(self, root: OperadId) -> None:
+        view, arities = self.trees.pop(root)._walked
+        for label in arities:
+            del self.arity_op[label], self.in_op[label]
+        for p in view.hat_map:
+            del self.g_hat_op[p, root]
+        for label in view.hook_map:
+            del self.hook_op[label], self.g_hook_op[label]
+
+    def agrees_with(self, state: FlatState) -> bool:
+        """Whether every relation of state equals the forest's.
+
+        When it does, compare_with_flat finds nothing on any root: each
+        root's slice of the state is its tree's view, and the trees are
+        keyed by their labels.  It is stricter than those comparisons,
+        since an entry under no tree's root also makes it false.
+        """
+        return (
+            state.my_operads == self.arity_op.keys()
+            and state.arity_op == self.arity_op
+            and state.foliage == self.g_hat_op.keys()
+            and state.out_op == dict.fromkeys(self.trees, _OUT)
+            and state.in_op == self.in_op
+            and state.g_hat_op == self.g_hat_op
+            and state.hook_op == self.hook_op
+            and state.g_hook_op == self.g_hook_op
+        )

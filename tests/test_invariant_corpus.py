@@ -8,7 +8,8 @@ the cases are the same on every run.
 
 The same traces and mutations also check the per-root queries, which
 read the state's per-root index, against scan-based reference
-definitions kept here.
+definitions kept here, and the mirror forest, which must agree with
+exactly the states the events reach.
 """
 
 from __future__ import annotations
@@ -32,15 +33,14 @@ from operadix import (
     component_of,
     compose_seq,
     derive_flat_view,
-    elementary,
     empty_state,
     foliage_of,
-    graft,
     hat_map_of,
     hook_map_of,
     in_map_of,
     run,
 )
+from operadix.tree_oracle import MirrorForest
 
 SEEDS = range(6)
 STEPS = 80
@@ -58,14 +58,30 @@ RELATIONS = (
 )
 
 
-def reachable_states():
-    """Every third state along the traces of seeded default-bound runs."""
+def advance(forest, event):
+    """Fire event on the mirror forest."""
+    if isinstance(event, NewOperad):
+        forest.new(event.op_id, event.arity)
+    else:
+        forest.graft(event.op1, event.pos, event.op2)
+
+
+def reachable_pairs():
+    """Every third state along the traces of seeded default-bound runs, with its forest.
+
+    The forest changes in place as the trace goes on: use it before
+    taking the next pair.
+    """
     for seed in SEEDS:
-        state = empty_state()
+        state, forest = empty_state(), MirrorForest()
         for step, event in enumerate(run(SimConfig(seed=seed, max_steps=STEPS)).trace):
-            state = empty_state() if isinstance(event, TraceReset) else apply_event(state, event)
+            if isinstance(event, TraceReset):
+                state, forest = empty_state(), MirrorForest()
+            else:
+                state = apply_event(state, event)
+                advance(forest, event)
             if step % 3 == 0 and state.my_operads:
-                yield state
+                yield state, forest
 
 
 def mutate(state, rng: random.Random):
@@ -115,25 +131,34 @@ def mutate(state, rng: random.Random):
 
 
 def corpus_mutations():
-    """(state, mutated state, description) for every corpus case."""
+    """(state, its forest, mutated state, description) for every corpus case."""
     rng = random.Random(20251216)
-    for state in reachable_states():
+    for state, forest in reachable_pairs():
         for _ in range(MUTATIONS_PER_STATE):
-            yield (state, *mutate(state, rng))
+            yield (state, forest, *mutate(state, rng))
 
 
 def test_every_corpus_mutation_is_flagged():
     cases = unchanged = 0
-    for state, bad, description in corpus_mutations():
+    for state, _, bad, description in corpus_mutations():
         cases += 1
         unchanged += bad == state
         assert (check_invariants(bad) == []) == (bad == state), description
     assert (cases, unchanged) == (1296, 34)
 
 
+def test_forest_agrees_with_exactly_the_reachable_states():
+    agreed = Counter()
+    for state, forest, bad, description in corpus_mutations():
+        assert forest.agrees_with(state)
+        assert forest.agrees_with(bad) == (bad == state), description
+        agreed[forest.agrees_with(bad)] += 1
+    assert agreed == {False: 1262, True: 34}
+
+
 def test_corpus_exercises_every_label():
     seen = set()
-    for _, bad, _ in corpus_mutations():
+    for _, _, bad, _ in corpus_mutations():
         seen.update(check_invariants(bad))
     assert seen == {"inv10", "inv30", "inv40", "inv60", "invr10", "invr20", "invr40", "SP1", "SP2", "SP3"}
 
@@ -143,7 +168,7 @@ def test_compose_keeps_the_precondition():
     # a well-formed state, for every pair of operads (and an unknown one)
     # and every position from 0 to one past the largest; each guard fires
     outcomes = Counter()
-    for state in reachable_states():
+    for state, _ in reachable_pairs():
         pool = sorted(state.my_operads) + ["zz"]
         for ii in range(max(p for p, _ in state.foliage) + 2):
             for op1 in pool:
@@ -168,9 +193,13 @@ event_plans = st.lists(
 
 
 def plan_states(plan):
-    """The state and the mirror trees after each event of plan that fires."""
+    """The state and the mirror forest after each event of plan that fires.
+
+    The forest changes in place: use it before taking the next pair.
+    """
     state = empty_state()
-    mirrors = {}
+    forest = MirrorForest()
+    mirrors = forest.trees
     for serial, (create, arity, a, b, slot) in enumerate(plan):
         roots = sorted(mirrors)
         if create or len(roots) < 2:
@@ -183,21 +212,18 @@ def plan_states(plan):
             state = apply_event(state, event)
         except GuardFailed:
             continue
-        if isinstance(event, NewOperad):
-            mirrors[event.op_id] = elementary(event.op_id, event.arity)
-        else:
-            grafted = mirrors.pop(event.op2)
-            mirrors[event.op1] = graft(mirrors[event.op1], event.pos, grafted)
-        yield state, mirrors
+        advance(forest, event)
+        yield state, forest
 
 
 @settings(max_examples=60, deadline=None)
 @given(plan=event_plans)
 def test_event_traces_stay_clean(plan):
-    for state, mirrors in plan_states(plan):
+    for state, forest in plan_states(plan):
         assert check_invariants(state) == []
-        for root in sorted(mirrors):
-            assert compare_with_flat(state, root, mirrors[root]) == []
+        for root in sorted(forest.trees):
+            assert compare_with_flat(state, root, forest.trees[root]) == []
+        assert forest.agrees_with(state)
 
 
 # Scan-based reference definitions of the per-root queries: each reads
@@ -266,5 +292,5 @@ def test_root_queries_match_scans_along_traces(plan):
 
 
 def test_root_queries_match_scans_on_corpus_mutations():
-    for _, bad, _ in corpus_mutations():
+    for _, _, bad, _ in corpus_mutations():
         assert_queries_match_scans(bad)

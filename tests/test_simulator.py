@@ -1,6 +1,7 @@
 """Seeded random runs, replay, deadlock accounting, and report formatting."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -14,10 +15,14 @@ from operadix import (
     StateFormatError,
     TraceReset,
     check_invariants,
+    compare_with_flat,
+    elementary,
     empty_state,
     foliage_of,
     format_report,
     format_trace,
+    graft,
+    hat_map_of,
     load_state,
     parse_trace,
     replay,
@@ -25,6 +30,7 @@ from operadix import (
     roots,
     run,
 )
+from operadix import flat_machine, simulator
 
 # first verified run of seed 1, frozen; any drift in sampling, state
 # evolution or guard behavior shows up here
@@ -187,6 +193,58 @@ def test_oracle_mirroring_runs_clean():
     report = run(SimConfig(seed=11, max_steps=80, oracle_check_every=4))
     assert report.oracle_checks == 20
     assert report.violations == ()
+
+
+def swap_two_owners(state, root):
+    """Swap the owners of root's lowest slot and the next slot of another member.
+
+    Both input sets follow, so SP1-SP3 still hold: only the tree shape
+    tells the swapped state from the one the events built.
+    """
+    hats = hat_map_of(state, root)
+    first = min(hats)
+    other = min((p for p in hats if hats[p] != hats[first]), default=None)
+    if other is None:
+        return state
+    a, b = hats[first], hats[other]
+    return replace(
+        state,
+        g_hat_op={**state.g_hat_op, (first, root): b, (other, root): a},
+        in_op={**state.in_op, a: state.in_op[a] - {first} | {other}, b: state.in_op[b] - {other} | {first}},
+    )
+
+
+def test_oracle_reports_an_owner_swap_root_by_root(monkeypatch):
+    compose = flat_machine.compose_seq_with_witness
+
+    def swapping(state, op1, ii, op2):
+        after, witness = compose(state, op1, ii, op2)
+        return swap_two_owners(after, op1), witness
+
+    # run() and replay() both compose through the swap
+    monkeypatch.setattr(simulator, "compose_seq_with_witness", swapping)
+    monkeypatch.setattr(flat_machine, "compose_seq_with_witness", swapping)
+    report = run(SimConfig(seed=3, max_steps=120, oracle_check_every=1))
+    assert report.oracle_checks == 120
+    assert {v.kind for v in report.violations} == {"oracle"}
+
+    expected, mirrors, step = [], {}, 0
+    for end, event in enumerate(report.trace, start=1):
+        if isinstance(event, TraceReset):
+            mirrors = {}
+            continue
+        step += 1
+        if isinstance(event, NewOperad):
+            mirrors[event.op_id] = elementary(event.op_id, event.arity)
+        else:
+            grafted = mirrors.pop(event.op2)
+            mirrors[event.op1] = graft(mirrors[event.op1], event.pos, grafted)
+        state = replay(report.trace[:end])
+        for root in sorted(mirrors):
+            problems = compare_with_flat(state, root, mirrors[root])
+            if problems:
+                expected.append((step, tuple(problems)))
+    assert [(v.step, v.labels) for v in report.violations] == expected
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from operadix import (
     format_tree,
     graft,
 )
+from operadix.tree_oracle import MirrorForest
 
 
 def nested_tree():
@@ -77,6 +78,18 @@ def test_graft_rejects_shared_labels():
     t = graft(elementary("f", 2), 1, elementary("g", 1))
     with pytest.raises(DuplicateLabels):
         graft(t, 1, elementary("g", 2))
+
+
+def test_forest_rejects_a_label_it_holds():
+    forest = MirrorForest()
+    forest.new("f", 2)
+    forest.new("g", 1)
+    forest.graft("f", 1, "g")
+    for label in ("f", "g"):
+        with pytest.raises(DuplicateLabels):
+            forest.new(label, 1)
+    assert list(forest.trees) == ["f"]
+    assert forest.g_hat_op == {(1, "f"): "g", (2, "f"): "f"}
 
 
 def test_flat_view_elementary():
