@@ -29,14 +29,16 @@ guard's label and leaves the old state untouched.
 The relations are the only stored truth.  Readers that need the entries
 of one root (compose, the checks, the per-root queries) share a private
 per-root index: foliage positions, hats and grafted members bucketed by
-root.  It is derived from the relations in one pass each, on first use,
-and cached on the state.  A state must therefore never be mutated in
-place: build a new one, with dataclasses.replace if need be, and its
-index is derived afresh.
+root.  An event whose state has an index carries it forward, in
+O(component); compose always reads it.  Any other state, such as one
+built by dataclasses.replace or a loader, derives it from the relations
+in one pass each, on first use, and caches it.  A state must therefore
+never be mutated in place: build a new one, with dataclasses.replace.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -81,7 +83,7 @@ class _RootIndex(NamedTuple):
 
     foliage: dict[OperadId, set[Position]]  # root -> its foliage positions
     hats: dict[OperadId, dict[Position, OperadId]]  # key root -> {position: owner}
-    members: dict[OperadId, list[OperadId]]  # root -> members grafted below it
+    members: dict[OperadId, Set[OperadId]]  # root -> members grafted below it
 
 
 @dataclass(frozen=True)
@@ -118,13 +120,13 @@ class FlatState:
                 hats[oo] = {p: member}
             else:
                 row[p] = member
-        members: dict[OperadId, list[OperadId]] = {}
+        members: dict[OperadId, Set[OperadId]] = {}
         for oo, root in self.g_hook_op.items():
             below = members.get(root)
             if below is None:
-                members[root] = [oo]
+                members[root] = {oo}
             else:
-                below.append(oo)
+                below.add(oo)
         return _RootIndex(foliage, hats, members)
 
 
@@ -165,7 +167,7 @@ def new_operad(state: FlatState, op_id: OperadId, arity: int, outs: int = 1) -> 
             f"foliage would grow to {len(state.foliage) + arity}, past max_fol = {cfg.max_fol}",
         )
     positions = range(1, arity + 1)
-    return FlatState(
+    new_state = FlatState(
         config=cfg,
         my_operads=state.my_operads | {op_id},
         arity_op={**state.arity_op, op_id: arity},
@@ -176,6 +178,15 @@ def new_operad(state: FlatState, op_id: OperadId, arity: int, outs: int = 1) -> 
         hook_op=state.hook_op,
         g_hook_op=state.g_hook_op,
     )
+    # carry the index into the slot its cached_property reads, if state has one
+    index = state.__dict__.get("_index")
+    if index is not None:
+        new_state.__dict__["_index"] = _RootIndex(
+            {**index.foliage, op_id: set(positions)},
+            {**index.hats, op_id: dict.fromkeys(positions, op_id)},
+            index.members,
+        )
+    return new_state
 
 
 @dataclass(frozen=True)
@@ -228,10 +239,10 @@ def compose_seq_with_witness(
 
     Cost: the Python work is O(component): the guards, the new input
     sets and the hats of op1 and op2, read from the per-root index of
-    the old state, and the deletion of those two roots' old hats.
-    Building the new state also copies g_hat_op, foliage, in_op and
-    the hook maps, in C, and its index is derived again from its
-    relations on first use, in O(state).
+    the old state, the deletion of those two roots' old hats, and the
+    new state's index, derived from the old one by replacing the rows
+    of op1 and op2.  Building the new state also copies g_hat_op,
+    foliage, in_op, the hook maps and the index's outer dicts, in C.
     """
     if op1 == op2:
         raise GuardFailed("op-distinct", f"cannot compose {op1!r} with itself")
@@ -258,7 +269,8 @@ def compose_seq_with_witness(
     witness = ComposeWitness(op1, op2, ii, cardfol1, cardfol2, hooked1, hooked2)
 
     hats = witness.moved(hat1, hat2)
-    owned: dict[OperadId, list[Position]] = {oo: [] for oo in hooked1 | hooked2}
+    component = hooked1 | hooked2
+    owned: dict[OperadId, list[Position]] = {oo: [] for oo in component}
     for p, oo in hats.items():
         owned[oo].append(p)
     in_op = dict(state.in_op)
@@ -277,6 +289,7 @@ def compose_seq_with_witness(
     new_g_hat.update({(p, op1): m for p, m in hats.items()})
     out_op = dict(state.out_op)
     out_op.pop(op2, None)
+    slots = range(1, cardfol1 + cardfol2)
 
     new_state = FlatState(
         config=state.config,
@@ -284,13 +297,22 @@ def compose_seq_with_witness(
         arity_op=state.arity_op,
         foliage=state.foliage.difference(
             zip(hat1, repeat(op1)), zip(hat2, repeat(op2))
-        ).union(zip(range(1, cardfol1 + cardfol2), repeat(op1))),
+        ).union(zip(slots, repeat(op1))),
         out_op=out_op,
         in_op=in_op,
         g_hat_op=new_g_hat,
         hook_op={**state.hook_op, op2: hat_op_ii},
         g_hook_op={**state.g_hook_op, **dict.fromkeys(hooked2, op1)},
     )
+    # op1's hats row in new_g_hat's order: the surviving keys, then the new ones
+    row = dict.fromkeys(p for p in hat1 if p not in state.in_op[op1])
+    row.update(hats)
+    foliage = {**index.foliage, op1: set(slots)}
+    hat_rows = {**index.hats, op1: row}
+    members = {**index.members, op1: component - {op1}}
+    for rows in (foliage, hat_rows, members):
+        rows.pop(op2, None)
+    new_state.__dict__["_index"] = _RootIndex(foliage, hat_rows, members)
     return new_state, witness
 
 
@@ -345,6 +367,16 @@ def hook_map_of(state: FlatState, root: OperadId) -> dict[OperadId, OperadId]:
     return {oo: state.hook_op[oo] for oo in sorted(members) if oo in state.hook_op}
 
 
+def _within_bounds(state: FlatState) -> tuple[bool, bool, bool]:
+    """The bound halves of inv10 (max_oprd, id rule), inv30 (arity rule) and inv40 (max_fol)."""
+    cfg = state.config
+    return (
+        len(state.my_operads) <= cfg.max_oprd and all(map(is_operad_id, state.my_operads)),
+        _arities_ok(state.arity_op.values(), cfg),
+        len(state.foliage) <= cfg.max_fol,
+    )
+
+
 def check_invariants(state: FlatState) -> list[str]:
     """Labels of the violated invariants, in canonical order.
 
@@ -367,20 +399,22 @@ def check_invariants(state: FlatState) -> list[str]:
     Not exact: a non-planar state passes, such as f:3 o_2 g:2 with
     in f = {1,3}, in g = {2,4} and the hats to match.  Cost: O(state),
     in Python passes over the ids, the hats, the operads and hook_op.
+    A state that a MirrorForest agrees with meets every rule here but
+    the bounds, so the simulator then checks only _within_bounds.
     """
-    cfg = state.config
+    ids_ok, arities_ok, fol_ok = _within_bounds(state)
     bad: list[str] = []
     ops = state.my_operads
     in_op = state.in_op
     arity_op = state.arity_op
     g_hook_op = state.g_hook_op
 
-    if not (len(ops) <= cfg.max_oprd and all(map(is_operad_id, ops))):
+    if not ids_ok:
         bad.append("inv10")
-    if not (arity_op.keys() == ops and _arities_ok(arity_op.values(), cfg)):
+    if not (arity_op.keys() == ops and arities_ok):
         bad.append("inv30")
     if not (
-        len(state.foliage) <= cfg.max_fol
+        fol_ok
         and ops.issuperset(state._index.foliage)
         and all(ps == set(range(1, len(ps) + 1)) for ps in state._index.foliage.values())
     ):
@@ -417,18 +451,11 @@ def check_invariants(state: FlatState) -> list[str]:
 def composition_law_violations(state: FlatState, witness: ComposeWitness) -> list[str]:
     """Cheap structural laws checked right after one grafting step.
 
-    law-size       the new composite has cardfol1 + cardfol2 - 1 slots,
-                   contiguously labelled from 1
-    law-arity-sum  member arities minus internal grafts equals the slot
-                   count of the composite
+    law-size  the new composite has cardfol1 + cardfol2 - 1 slots,
+              contiguously labelled from 1
+
+    The arity sum of the composite needs no law of its own: SP1-SP3
+    and invr40 of check_invariants imply it.
     """
-    labels: list[str] = []
-    index = state._index
-    fol = sorted(index.foliage.get(witness.op1, ()))
-    if fol != list(range(1, witness.cardfol1 + witness.cardfol2)):
-        labels.append("law-size")
-    members = {witness.op1, *index.members.get(witness.op1, ())}
-    arity_sum = sum(state.arity_op[m] for m in members)
-    if arity_sum - (len(members) - 1) != len(fol):
-        labels.append("law-arity-sum")
-    return labels
+    fol = sorted(state._index.foliage.get(witness.op1, ()))
+    return [] if fol == list(range(1, witness.cardfol1 + witness.cardfol2)) else ["law-size"]

@@ -7,10 +7,13 @@ representations.  The mirrors live in one MirrorForest, updated in
 O(component) per event; an oracle check is one equality per relation
 between the state and the forest, and only when it fails are the roots
 compared one by one with compare_with_flat, whose labels the report
-carries.  A run is fully determined by its SimConfig: the
-sampler draws from a seeded Mersenne Twister and never iterates an
-unordered container, so the same config always produces the same
-report, byte for byte.
+carries.  On an event the oracle checks, that equality also gives the
+invariant verdict: a state the forest agrees with and within the bounds
+breaks no invariant, so check_invariants runs only to name the labels
+of a failure.  A run is fully determined by its SimConfig: the sampler
+draws from a seeded Mersenne Twister and never iterates an unordered
+container, so the same config always produces the same report, byte
+for byte.
 
 When no event can fire on the current state, the state is recorded
 and reset, and exploration continues from scratch; the count
@@ -31,6 +34,7 @@ from .flat_machine import (
     Event,
     FlatState,
     NewOperad,
+    _within_bounds,
     apply_event,
     check_invariants,
     compose_seq_with_witness,
@@ -95,6 +99,11 @@ class SimReport:
     elapsed_seconds: float = field(compare=False, default=0.0)
 
 
+def _verdict(state: FlatState, agrees: bool) -> list[str]:
+    """check_invariants(state); if the mirror forest agrees with state, only a bound can fail."""
+    return [] if agrees and all(_within_bounds(state)) else check_invariants(state)
+
+
 def run(sim: SimConfig) -> SimReport:
     started = time.perf_counter()
     rng = random.Random(sim.seed)
@@ -152,7 +161,15 @@ def run(sim: SimConfig) -> SimReport:
         fired[name] = fired.get(name, 0) + 1
         trace.append(event)
 
-        bad = check_invariants(state)
+        if track_mirrors:
+            if isinstance(event, NewOperad):
+                forest.new(event.op_id, event.arity)
+            else:
+                forest.graft(event.op1, event.pos, event.op2)
+        checked = track_mirrors and fired_count % sim.oracle_check_every == 0
+        agrees = checked and forest.agrees_with(state)
+
+        bad = _verdict(state, agrees)
         if bad:
             violations.append(Violation(fired_count, "invariant", tuple(bad), event, dump_state(state)))
         if witness is not None:
@@ -160,21 +177,16 @@ def run(sim: SimConfig) -> SimReport:
             if laws:
                 violations.append(Violation(fired_count, "law", tuple(laws), event, dump_state(state)))
 
-        if track_mirrors:
-            if isinstance(event, NewOperad):
-                forest.new(event.op_id, event.arity)
-            else:
-                forest.graft(event.op1, event.pos, event.op2)
-            if fired_count % sim.oracle_check_every == 0:
-                oracle_checks += 1
-                if not forest.agrees_with(state):
-                    # a mismatch: compare root by root, for its exact labels
-                    for root_id in sorted(forest.trees):
-                        problems = compare_with_flat(state, root_id, forest.trees[root_id])
-                        if problems:
-                            violations.append(
-                                Violation(fired_count, "oracle", tuple(problems), event, dump_state(state))
-                            )
+        if checked:
+            oracle_checks += 1
+            if not agrees:
+                # a mismatch: compare root by root, for its exact labels
+                for root_id in sorted(forest.trees):
+                    problems = compare_with_flat(state, root_id, forest.trees[root_id])
+                    if problems:
+                        violations.append(
+                            Violation(fired_count, "oracle", tuple(problems), event, dump_state(state))
+                        )
 
     return SimReport(
         seed=sim.seed,

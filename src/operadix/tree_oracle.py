@@ -225,9 +225,9 @@ class MirrorForest:
     tree's leaves are its foliage.  Labels never repeat across the
     trees, so the union is disjoint and each tree's view is its slice.
 
-    Cost: new and graft are O(component): they drop the entries of the
-    trees they replace and add those of the new tree, read off its
-    walk.  agrees_with is one comparison per relation, done in C.
+    Cost: new and graft are O(component).  Grafting keeps every label,
+    so graft drops only op2's hats and writes the grafted tree's
+    entries over the old ones.  agrees_with is one == per relation.
     """
 
     def __init__(self) -> None:
@@ -247,8 +247,8 @@ class MirrorForest:
     def graft(self, op1: OperadId, ii: Position, op2: OperadId) -> None:
         """Replace the trees of roots op1 and op2 by op2's grafted into leaf ii of op1's."""
         grafted = graft(self.trees[op1], ii, self.trees[op2])
-        self._drop(op1)
-        self._drop(op2)
+        for p in self.trees.pop(op2)._walked[0].hat_map:
+            del self.g_hat_op[p, op2]
         self._add(grafted)
 
     def _add(self, tree: TreeOperad) -> None:
@@ -260,15 +260,6 @@ class MirrorForest:
         self.g_hat_op.update(zip(zip(view.hat_map, repeat(root)), view.hat_map.values()))
         self.hook_op.update(view.hook_map)
         self.g_hook_op.update(dict.fromkeys(view.hook_map, root))
-
-    def _drop(self, root: OperadId) -> None:
-        view, arities = self.trees.pop(root)._walked
-        for label in arities:
-            del self.arity_op[label], self.in_op[label]
-        for p in view.hat_map:
-            del self.g_hat_op[p, root]
-        for label in view.hook_map:
-            del self.hook_op[label], self.g_hook_op[label]
 
     def agrees_with(self, state: FlatState) -> bool:
         """Whether every relation of state equals the forest's.

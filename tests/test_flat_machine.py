@@ -203,7 +203,7 @@ def test_compose_law_checks(quadratic_pair):
     s2, w = compose_seq_with_witness(s, "f", 2, "g")
     assert composition_law_violations(s2, w) == []
     broken = replace(s2, foliage=frozenset((p, "f") for p in (1, 2, 3, 4)))
-    assert composition_law_violations(broken, w) == ["law-size", "law-arity-sum"]
+    assert composition_law_violations(broken, w) == ["law-size"]
 
 
 def test_compose_guards(quadratic_pair):

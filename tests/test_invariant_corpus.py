@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from operadix import (
     BoundsError,
     ComposeSeq,
+    Config,
     GuardFailed,
     NewOperad,
     SimConfig,
@@ -216,14 +217,49 @@ def plan_states(plan):
         yield state, forest
 
 
+def index_carried(state):
+    """Whether an event carried an index into state; if so, it must equal the derived one.
+
+    The hats rows are compared as item lists, so their order counts.
+    """
+    carried = vars(state).get("_index")
+    if carried is None:
+        return False
+    derived = replace(state)._index
+    assert carried.foliage == derived.foliage
+    assert carried.members == derived.members
+    assert {root: list(row.items()) for root, row in carried.hats.items()} == {
+        root: list(row.items()) for root, row in derived.hats.items()
+    }
+    return True
+
+
 @settings(max_examples=60, deadline=None)
 @given(plan=event_plans)
 def test_event_traces_stay_clean(plan):
-    for state, forest in plan_states(plan):
+    for step, (state, forest) in enumerate(plan_states(plan)):
+        # check_invariants caches an index on each state, so every later event carries one
+        assert index_carried(state) == (step > 0)
         assert check_invariants(state) == []
         for root in sorted(forest.trees):
             assert compare_with_flat(state, root, forest.trees[root]) == []
         assert forest.agrees_with(state)
+
+
+def test_events_carry_the_index():
+    # an event carries the index when its state has one, and compose reads
+    # its state's index: so from the first compose of a segment on, every
+    # state carries one
+    assert Counter(index_carried(state) for state, _ in reachable_pairs()) == {True: 130, False: 32}
+    config = Config(max_oprd=128, max_fol=768)
+    state, composed = empty_state(config), False
+    for event in run(SimConfig(seed=5, max_steps=2000, config=config)).trace:
+        if isinstance(event, TraceReset):
+            state, composed = empty_state(config), False
+            continue
+        state = apply_event(state, event)
+        composed = composed or isinstance(event, ComposeSeq)
+        assert index_carried(state) == composed
 
 
 # Scan-based reference definitions of the per-root queries: each reads

@@ -4,10 +4,12 @@ import hashlib
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from operadix import (
     ComposeSeq,
     Config,
+    FlatState,
     GuardFailed,
     NewOperad,
     SimConfig,
@@ -31,6 +33,7 @@ from operadix import (
     run,
 )
 from operadix import flat_machine, simulator
+from operadix.tree_oracle import MirrorForest
 
 # first verified run of seed 1, frozen; any drift in sampling, state
 # evolution or guard behavior shows up here
@@ -214,22 +217,27 @@ def swap_two_owners(state, root):
     )
 
 
-def test_oracle_reports_an_owner_swap_root_by_root(monkeypatch):
+def patch_compose(monkeypatch, corrupt):
+    """Make run() and replay() both compose through corrupt(state, op1, op2)."""
     compose = flat_machine.compose_seq_with_witness
 
-    def swapping(state, op1, ii, op2):
+    def corrupting(state, op1, ii, op2):
         after, witness = compose(state, op1, ii, op2)
-        return swap_two_owners(after, op1), witness
+        return corrupt(after, op1, op2), witness
 
-    # run() and replay() both compose through the swap
-    monkeypatch.setattr(simulator, "compose_seq_with_witness", swapping)
-    monkeypatch.setattr(flat_machine, "compose_seq_with_witness", swapping)
-    report = run(SimConfig(seed=3, max_steps=120, oracle_check_every=1))
-    assert report.oracle_checks == 120
-    assert {v.kind for v in report.violations} == {"oracle"}
+    monkeypatch.setattr(simulator, "compose_seq_with_witness", corrupting)
+    monkeypatch.setattr(flat_machine, "compose_seq_with_witness", corrupting)
 
+
+def expected_violations(trace, every):
+    """The invariant and oracle violations of a run, from its replayed states.
+
+    Each fired event's state is replayed from the trace and checked in
+    full by check_invariants, and on every every-th event compared root
+    by root with mirror trees grafted one by one.
+    """
     expected, mirrors, step = [], {}, 0
-    for end, event in enumerate(report.trace, start=1):
+    for end, event in enumerate(trace, start=1):
         if isinstance(event, TraceReset):
             mirrors = {}
             continue
@@ -239,12 +247,107 @@ def test_oracle_reports_an_owner_swap_root_by_root(monkeypatch):
         else:
             grafted = mirrors.pop(event.op2)
             mirrors[event.op1] = graft(mirrors[event.op1], event.pos, grafted)
-        state = replay(report.trace[:end])
-        for root in sorted(mirrors):
-            problems = compare_with_flat(state, root, mirrors[root])
-            if problems:
-                expected.append((step, tuple(problems)))
-    assert [(v.step, v.labels) for v in report.violations] == expected
+        state = replay(trace[:end])
+        bad = check_invariants(state)
+        if bad:
+            expected.append((step, "invariant", tuple(bad)))
+        if step % every == 0:
+            for root in sorted(mirrors):
+                problems = compare_with_flat(state, root, mirrors[root])
+                if problems:
+                    expected.append((step, "oracle", tuple(problems)))
+    return expected
+
+
+def test_oracle_reports_an_owner_swap_root_by_root(monkeypatch):
+    patch_compose(monkeypatch, lambda state, op1, op2: swap_two_owners(state, op1))
+    report = run(SimConfig(seed=3, max_steps=120, oracle_check_every=1))
+    assert report.oracle_checks == 120
+    assert {v.kind for v in report.violations} == {"oracle"}
+    assert [(v.step, v.kind, v.labels) for v in report.violations] == expected_violations(report.trace, 1)
+
+
+@pytest.mark.parametrize("every", [1, 2])
+def test_verdict_matches_check_invariants_under_a_dropped_input_set(monkeypatch, every):
+    # some composes lose op2's in_op entry; a later compose of its component restores it
+    def dropping(state, op1, op2):
+        if len(state.g_hook_op) % 2:
+            return replace(state, in_op={k: v for k, v in state.in_op.items() if k != op2})
+        return state
+
+    patch_compose(monkeypatch, dropping)
+    report = run(SimConfig(seed=3, max_steps=120, oracle_check_every=every))
+    expected = expected_violations(report.trace, every)
+    assert {kind for _, kind, _ in expected} == {"invariant", "oracle"}
+    assert [(v.step, v.kind, v.labels) for v in report.violations if v.kind != "law"] == expected
+
+
+def state_of(forest, config):
+    """The state whose relations are the forest's, with out_op {1} on its roots."""
+    return FlatState(
+        config=config,
+        my_operads=frozenset(forest.arity_op),
+        arity_op=dict(forest.arity_op),
+        foliage=frozenset(forest.g_hat_op),
+        out_op=dict.fromkeys(forest.trees, frozenset({1})),
+        in_op=dict(forest.in_op),
+        g_hat_op=dict(forest.g_hat_op),
+        hook_op=dict(forest.hook_op),
+        g_hook_op=dict(forest.g_hook_op),
+    )
+
+
+forest_plans = st.lists(
+    st.tuples(st.booleans(), st.integers(1, 6), st.integers(0, 39), st.integers(0, 39), st.integers(0, 239)),
+    max_size=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(plan=forest_plans)
+def test_a_state_that_agrees_with_a_forest_is_well_formed(plan):
+    # agreement implies every rule of check_invariants but the bounds,
+    # which this Config leaves room for
+    bounds = Config(max_args=6, max_oprd=40, max_fol=240)
+    forest = MirrorForest()
+    for serial, (create, arity, a, b, slot) in enumerate(plan):
+        roots = sorted(forest.trees)
+        if create or len(roots) < 2:
+            forest.new(f"n{serial}", arity)
+        else:
+            op1 = roots[a % len(roots)]
+            others = [r for r in roots if r != op1]
+            leaves = sum(1 for _, root in forest.g_hat_op if root == op1)
+            forest.graft(op1, 1 + slot % leaves, others[b % len(others)])
+        state = state_of(forest, bounds)
+        assert forest.agrees_with(state)
+        assert check_invariants(state) == []
+        assert simulator._verdict(state, True) == []
+
+
+def _forest(*nodes):
+    forest = MirrorForest()
+    for label, arity in nodes:
+        forest.new(label, arity)
+    return forest
+
+
+@pytest.mark.parametrize(
+    "forest, config, edit, labels",
+    [
+        (_forest(("a-b", 2)), Config(), {}, ["inv10"]),
+        (_forest(("a", 1), ("b", 1)), Config(max_args=1, max_oprd=1, max_fol=2), {}, ["inv10"]),
+        (_forest(("a", 7)), Config(), {}, ["inv30"]),
+        # True == 1, so the forest agrees; only the arity rule sees the bool
+        (_forest(("a", 1)), Config(), {"arity_op": {"a": True}}, ["inv30"]),
+        (_forest(("a", 3), ("b", 2)), Config(max_args=2, max_oprd=2, max_fol=4), {}, ["inv30", "inv40"]),
+    ],
+)
+def test_verdict_names_the_bounds_agreement_leaves_open(forest, config, edit, labels):
+    state = replace(state_of(forest, config), **edit)
+    assert forest.agrees_with(state)
+    assert check_invariants(state) == labels
+    assert simulator._verdict(state, True) == labels
 
 
 @pytest.mark.parametrize(
