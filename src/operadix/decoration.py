@@ -155,11 +155,12 @@ def check_gluing(state: DecoratedState) -> list[str]:
         for symbol in symbols:
             if symbol not in state.alphabet:
                 problems.append(f"{op}: symbol {symbol!r} is not in the alphabet")
-    for op in sorted(base.out_op):
+    out_op = base.out_op
+    for op in sorted(out_op):
         if op not in state.out_op_x:
             problems.append(f"{op}: no output symbol")
     for op in sorted(state.out_op_x):
-        if op not in base.out_op:
+        if op not in out_op:
             problems.append(f"{op}: output symbol but no output")
         elif state.out_op_x[op] not in state.alphabet:
             problems.append(f"{op}: symbol {state.out_op_x[op]!r} is not in the alphabet")
@@ -191,12 +192,11 @@ _EXTRA_SECTIONS = ("alphabet", "inx", "outx")
 def load_decorated(text: str, config: Config | None = None) -> DecoratedState:
     """Parse a decorated dump; its base state must be well-formed, as in load_state."""
     decorated = _read_decorated(text, config)
-    _well_formed(decorated.base)
-    return decorated
+    return replace(decorated, base=_well_formed(decorated.base))
 
 
 def _read_decorated(text: str, config: Config | None = None) -> DecoratedState:
-    """The decorated state of a dump, checked for the format and the alphabet only."""
+    """The decorated dump, its base a raw Sections record; checked for the format and the alphabet only."""
     entries = list(_read_entries(text, SECTIONS + _EXTRA_SECTIONS))
     base = _state_from_entries((e for e in entries if e[1] in SECTIONS), config)
     alphabet: tuple[str, ...] | None = None

@@ -11,29 +11,33 @@ input sets off the result, and the decoration layer applies it to the
 symbols on the slots.
 
 Vocabulary, with ``op2`` grafted into slot ``ii`` of the composite
-rooted at ``op1``:
+rooted at ``op1``.  Five relations are stored:
 
-  my_operads   every operad created so far, grafted or not
   arity_op     arity at creation time; composition never changes it
-  foliage      (position, root) pairs: the open slots of each composite
-  out_op       output positions, always {1}; its domain is the roots
   in_op        per member, the slot labels that belong to that member
   g_hat_op     (position, root) -> the member owning that slot
   hook_op      member -> the member it was directly grafted into
   g_hook_op    member -> the root of its composite
 
+and three are read-only views of them:
+
+  my_operads   every operad created so far, grafted or not: arity_op's keys
+  foliage      the open (position, root) slots of each composite: g_hat_op's keys
+  out_op       output positions, always {1}; its domain is the roots
+
 Events are pure: they validate guards against the old state and return
 a fresh state.  A rejected event raises GuardFailed carrying the
 guard's label and leaves the old state untouched.
 
-The relations are the only stored truth.  Readers that need the entries
+The stored relations are the only truth.  Readers that need the entries
 of one root (compose, the checks, the per-root queries) share a private
 per-root index: foliage positions, hats and grafted members bucketed by
 root.  An event whose state has an index carries it forward, in
-O(component); compose always reads it.  Any other state, such as one
-built by dataclasses.replace or a loader, derives it from the relations
-in one pass each, on first use, and caches it.  A state must therefore
-never be mutated in place: build a new one, with dataclasses.replace.
+O(component); compose always reads it, and Sections.to_state hands
+over the index of the record the loader checked.  A state built by
+dataclasses.replace derives it from the relations in one pass each, on
+first use, and caches it.  A state must therefore never be mutated in
+place: build a new one, with dataclasses.replace.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from __future__ import annotations
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import NamedTuple, TypeVar
 
 from .core import (
@@ -86,17 +89,8 @@ class _RootIndex(NamedTuple):
     members: dict[OperadId, Set[OperadId]]  # root -> members grafted below it
 
 
-@dataclass(frozen=True)
-class FlatState:
-    config: Config
-    my_operads: frozenset[OperadId]
-    arity_op: dict[OperadId, int]
-    foliage: frozenset[tuple[Position, OperadId]]
-    out_op: dict[OperadId, frozenset[Position]]
-    in_op: dict[OperadId, frozenset[Position]]
-    g_hat_op: dict[tuple[Position, OperadId], OperadId]
-    hook_op: dict[OperadId, OperadId]
-    g_hook_op: dict[OperadId, OperadId]
+class _Indexed:
+    """The per-root index of a FlatState or a Sections record, read by attribute name."""
 
     @cached_property
     def _index(self) -> _RootIndex:
@@ -130,13 +124,77 @@ class FlatState:
         return _RootIndex(foliage, hats, members)
 
 
+@dataclass(frozen=True)
+class FlatState(_Indexed):
+    """A machine state: five stored relations and three read-only views.
+
+    The views are built from the relations, out_op in arity_op's order,
+    so inv60, SP1 and the key half of inv30 hold by construction.
+    """
+
+    config: Config
+    arity_op: dict[OperadId, int]
+    in_op: dict[OperadId, frozenset[Position]]
+    g_hat_op: dict[tuple[Position, OperadId], OperadId]
+    hook_op: dict[OperadId, OperadId]
+    g_hook_op: dict[OperadId, OperadId]
+
+    @property
+    def my_operads(self) -> Set[OperadId]:
+        return self.arity_op.keys()
+
+    @property
+    def foliage(self) -> Set[tuple[Position, OperadId]]:
+        return self.g_hat_op.keys()
+
+    @property
+    def out_op(self) -> dict[OperadId, frozenset[Position]]:
+        return dict.fromkeys([op for op in self.arity_op if op not in self.g_hook_op], frozenset({1}))
+
+
+@dataclass(frozen=True)
+class Sections(_Indexed):
+    """The eight sections of a dump as read, before any check.
+
+    Unlike a FlatState, a record may disagree with itself: its
+    my_operads, foliage and out_op are read from their own sections, so
+    check_invariants can label a dump as it is.  check, export and the
+    loaders read dumps into it; dump_state and state_to_json take it as
+    they take a FlatState.
+    """
+
+    config: Config
+    my_operads: frozenset[OperadId]
+    arity_op: dict[OperadId, int]
+    foliage: frozenset[tuple[Position, OperadId]]
+    out_op: dict[OperadId, frozenset[Position]]
+    in_op: dict[OperadId, frozenset[Position]]
+    g_hat_op: dict[tuple[Position, OperadId], OperadId]
+    hook_op: dict[OperadId, OperadId]
+    g_hook_op: dict[OperadId, OperadId]
+
+    def to_state(self) -> FlatState:
+        """The FlatState of a record that check_invariants passes.
+
+        By SP1 the record's foliage is its hats' keys, so the record's
+        index, which the check built, is the state's: it is handed over.
+        """
+        state = FlatState(
+            config=self.config,
+            arity_op=self.arity_op,
+            in_op=self.in_op,
+            g_hat_op=self.g_hat_op,
+            hook_op=self.hook_op,
+            g_hook_op=self.g_hook_op,
+        )
+        state.__dict__["_index"] = self._index
+        return state
+
+
 def empty_state(config: Config | None = None) -> FlatState:
     return FlatState(
         config=config or Config(),
-        my_operads=frozenset(),
         arity_op={},
-        foliage=frozenset(),
-        out_op={},
         in_op={},
         g_hat_op={},
         hook_op={},
@@ -153,26 +211,23 @@ def new_operad(state: FlatState, op_id: OperadId, arity: int, outs: int = 1) -> 
     cfg = state.config
     if not is_operad_id(op_id):
         raise GuardFailed("id-token", f"operad id must be letters, digits or underscores, got {op_id!r}")
-    if len(state.my_operads) >= cfg.max_oprd:
+    if len(state.arity_op) >= cfg.max_oprd:
         raise GuardFailed("g1", f"operad count is at the max_oprd bound {cfg.max_oprd}")
-    if op_id in state.my_operads:
+    if op_id in state.arity_op:
         raise GuardFailed("g3", f"operad {op_id!r} already exists")
     if not _arities_ok((arity,), cfg):
         raise GuardFailed("g4", f"arity must be in 1..{cfg.max_args}, got {arity}")
     if type(outs) is not int or outs != 1:
         raise GuardFailed("g6", f"output count must be 1, got {outs}")
-    if len(state.foliage) + arity > cfg.max_fol:
+    if len(state.g_hat_op) + arity > cfg.max_fol:
         raise GuardFailed(
             "g28",
-            f"foliage would grow to {len(state.foliage) + arity}, past max_fol = {cfg.max_fol}",
+            f"foliage would grow to {len(state.g_hat_op) + arity}, past max_fol = {cfg.max_fol}",
         )
     positions = range(1, arity + 1)
     new_state = FlatState(
         config=cfg,
-        my_operads=state.my_operads | {op_id},
         arity_op={**state.arity_op, op_id: arity},
-        foliage=state.foliage | {(p, op_id) for p in positions},
-        out_op={**state.out_op, op_id: frozenset({1})},
         in_op={**state.in_op, op_id: frozenset(positions)},
         g_hat_op={**state.g_hat_op, **{(p, op_id): op_id for p in positions}},
         hook_op=state.hook_op,
@@ -242,7 +297,7 @@ def compose_seq_with_witness(
     the old state, the deletion of those two roots' old hats, and the
     new state's index, derived from the old one by replacing the rows
     of op1 and op2.  Building the new state also copies g_hat_op,
-    foliage, in_op, the hook maps and the index's outer dicts, in C.
+    in_op, the hook maps and the index's outer dicts, in C.
     """
     if op1 == op2:
         raise GuardFailed("op-distinct", f"cannot compose {op1!r} with itself")
@@ -287,18 +342,10 @@ def compose_seq_with_witness(
     for p in state.in_op[op1]:
         del new_g_hat[p, op1]
     new_g_hat.update({(p, op1): m for p, m in hats.items()})
-    out_op = dict(state.out_op)
-    out_op.pop(op2, None)
-    slots = range(1, cardfol1 + cardfol2)
 
     new_state = FlatState(
         config=state.config,
-        my_operads=state.my_operads,
         arity_op=state.arity_op,
-        foliage=state.foliage.difference(
-            zip(hat1, repeat(op1)), zip(hat2, repeat(op2))
-        ).union(zip(slots, repeat(op1))),
-        out_op=out_op,
         in_op=in_op,
         g_hat_op=new_g_hat,
         hook_op={**state.hook_op, op2: hat_op_ii},
@@ -307,7 +354,7 @@ def compose_seq_with_witness(
     # op1's hats row in new_g_hat's order: the surviving keys, then the new ones
     row = dict.fromkeys(p for p in hat1 if p not in state.in_op[op1])
     row.update(hats)
-    foliage = {**index.foliage, op1: set(slots)}
+    foliage = {**index.foliage, op1: set(range(1, cardfol1 + cardfol2))}
     hat_rows = {**index.hats, op1: row}
     members = {**index.members, op1: component - {op1}}
     for rows in (foliage, hat_rows, members):
@@ -331,7 +378,7 @@ def apply_event(state: FlatState, event: Event) -> FlatState:
 
 def roots(state: FlatState) -> tuple[OperadId, ...]:
     """Operads not grafted anywhere, sorted; each roots one composite."""
-    return tuple(sorted(state.my_operads - set(state.g_hook_op)))
+    return tuple(sorted(state.arity_op.keys() - state.g_hook_op.keys()))
 
 
 def _require_root(state: FlatState, root: OperadId) -> None:
@@ -367,7 +414,7 @@ def hook_map_of(state: FlatState, root: OperadId) -> dict[OperadId, OperadId]:
     return {oo: state.hook_op[oo] for oo in sorted(members) if oo in state.hook_op}
 
 
-def _within_bounds(state: FlatState) -> tuple[bool, bool, bool]:
+def _within_bounds(state: FlatState | Sections) -> tuple[bool, bool, bool]:
     """The bound halves of inv10 (max_oprd, id rule), inv30 (arity rule) and inv40 (max_fol)."""
     cfg = state.config
     return (
@@ -377,11 +424,13 @@ def _within_bounds(state: FlatState) -> tuple[bool, bool, bool]:
     )
 
 
-def check_invariants(state: FlatState) -> list[str]:
+def check_invariants(state: FlatState | Sections) -> list[str]:
     """Labels of the violated invariants, in canonical order.
 
     This defines a well-formed state: load_state and load_decorated
-    reject a state with any label, and compose assumes there is none.
+    reject a dump's Sections record with any label, and compose assumes
+    there is none.  It labels a raw record as it is, by attribute name;
+    on a FlatState, inv60, SP1 and inv30's key half hold by construction.
     Typing invariants (inv*, invr*) bound the relations as the creation
     guards do and type them by my_operads: every arity follows Config's
     arity rule, each root's foliage positions are exactly 1..n for its
@@ -415,19 +464,19 @@ def check_invariants(state: FlatState) -> list[str]:
         bad.append("inv30")
     if not (
         fol_ok
-        and ops.issuperset(state._index.foliage)
+        and ops >= state._index.foliage.keys()
         and all(ps == set(range(1, len(ps) + 1)) for ps in state._index.foliage.values())
     ):
         bad.append("inv40")
-    if state.out_op != dict.fromkeys(ops.difference(g_hook_op), frozenset({1})):
+    if state.out_op != dict.fromkeys(ops - g_hook_op.keys(), frozenset({1})):
         bad.append("inv60")
     if in_op.keys() != ops:
         bad.append("invr10")
-    if not (ops.issuperset(state._index.hats) and ops.issuperset(state.g_hat_op.values())):
+    if not (ops >= state._index.hats.keys() and ops >= set(state.g_hat_op.values())):
         bad.append("invr20")
     if not (
-        ops.issuperset(g_hook_op)
-        and ops.issuperset(state._index.members)
+        ops >= g_hook_op.keys()
+        and ops >= state._index.members.keys()
         and state.hook_op.keys() == g_hook_op.keys()
         and all(g_hook_op.get(parent, parent) == g_hook_op[m] for m, parent in state.hook_op.items())
     ):

@@ -7,8 +7,9 @@ loading round-trip exactly, so dumps double as frozen test fixtures
 and as the on-disk state format of the command line tool.
 
 The bounds config is not part of a dump; the loaders take it
-separately, defaulting to the standard bounds, and reject a state that
-check_invariants flags: a state from outside is checked where it enters.
+separately, defaulting to the standard bounds, read a dump into a raw
+Sections record and build a FlatState only from a record that
+check_invariants passes: a state from outside is checked where it enters.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import re
 from collections.abc import Iterable, Iterator
 
 from .core import Config, StateFormatError, is_operad_id
-from .flat_machine import FlatState, check_invariants
+from .flat_machine import FlatState, Sections, check_invariants
 
 SECTIONS = ("operads", "arity", "foliage", "in", "out", "hat", "hook", "ghook")
 
@@ -32,7 +33,7 @@ def _set_text(positions) -> str:
     return "{" + ",".join(str(p) for p in sorted(positions)) + "}"
 
 
-def dump_state(state: FlatState) -> str:
+def dump_state(state: FlatState | Sections) -> str:
     entries: dict[str, list[str]] = {name: [] for name in SECTIONS}
     entries["operads"] = [f"operads: {op}" for op in state.my_operads]
     entries["arity"] = [f"arity: {op}->{rr}" for op, rr in state.arity_op.items()]
@@ -95,20 +96,20 @@ def load_state(text: str, config: Config | None = None) -> FlatState:
     return _well_formed(_read_state(text, config))
 
 
-def _read_state(text: str, config: Config | None = None) -> FlatState:
-    """The state of a dump, checked for the line format only."""
+def _read_state(text: str, config: Config | None = None) -> Sections:
+    """The record of a dump, checked for the line format only."""
     return _state_from_entries(_read_entries(text, SECTIONS), config)
 
 
-def _well_formed(state: FlatState) -> FlatState:
-    bad = check_invariants(state)
+def _well_formed(record: Sections) -> FlatState:
+    bad = check_invariants(record)
     if bad:
         raise StateFormatError(f"state violates {', '.join(bad)}")
-    return state
+    return record.to_state()
 
 
-def _state_from_entries(entries: Iterable[tuple[int, str, str]], config: Config | None = None) -> FlatState:
-    """The state of the base-section entries that _read_entries yields."""
+def _state_from_entries(entries: Iterable[tuple[int, str, str]], config: Config | None = None) -> Sections:
+    """The record of the base-section entries that _read_entries yields."""
     my_operads: set[str] = set()
     arity_op: dict[str, int] = {}
     foliage: set[tuple[int, str]] = set()
@@ -168,7 +169,7 @@ def _state_from_entries(entries: Iterable[tuple[int, str, str]], config: Config 
                 raise StateFormatError(f"line {lineno}: duplicate {section} entry for {op!r}")
             target[op] = m.group(2)
 
-    return FlatState(
+    return Sections(
         config=config or Config(),
         my_operads=frozenset(my_operads),
         arity_op=arity_op,
@@ -181,7 +182,7 @@ def _state_from_entries(entries: Iterable[tuple[int, str, str]], config: Config 
     )
 
 
-def state_to_json(state: FlatState) -> dict:
+def state_to_json(state: FlatState | Sections) -> dict:
     """The same sections as the text dump, as JSON-ready values."""
     return {
         "operads": sorted(state.my_operads),

@@ -162,7 +162,7 @@ def compare_with_flat(state: FlatState, root: OperadId, tree: TreeOperad) -> lis
     Cost: O(component) per root.  The tree is walked once in its
     lifetime (the walk is cached on it), the machine side is read
     through the state's per-root index, and each member costs one
-    lookup in in_op, hook_op, arity_op and out_op.  The index itself is
+    lookup in in_op, hook_op and arity_op.  The index itself is
     built once per state, in O(state), and shared by every root
     compared against it.  To check a whole state against all its
     mirrors, MirrorForest.agrees_with is cheaper; this comparison then
@@ -201,17 +201,7 @@ def compare_with_flat(state: FlatState, root: OperadId, tree: TreeOperad) -> lis
         if arities[member] != arity:
             problems.append(f"arity: machine says {member!r} has {arity}, tree says {arities[member]}")
 
-    out = state.out_op.get(root)
-    if out != frozenset({1}):
-        problems.append(f"out: root {root!r} has outputs {out}, expected {{1}}")
-    for member in members:
-        if member != root and member in state.out_op:
-            problems.append(f"out: grafted member {member!r} still has outputs")
-
     return problems
-
-
-_OUT = frozenset({1})
 
 
 class MirrorForest:
@@ -262,7 +252,7 @@ class MirrorForest:
         self.g_hook_op.update(dict.fromkeys(view.hook_map, root))
 
     def agrees_with(self, state: FlatState) -> bool:
-        """Whether every relation of state equals the forest's.
+        """Whether every stored relation of state equals the forest's.
 
         When it does, compare_with_flat finds nothing on any root: each
         root's slice of the state is its tree's view, and the trees are
@@ -270,10 +260,7 @@ class MirrorForest:
         since an entry under no tree's root also makes it false.
         """
         return (
-            state.my_operads == self.arity_op.keys()
-            and state.arity_op == self.arity_op
-            and state.foliage == self.g_hat_op.keys()
-            and state.out_op == dict.fromkeys(self.trees, _OUT)
+            state.arity_op == self.arity_op
             and state.in_op == self.in_op
             and state.g_hat_op == self.g_hat_op
             and state.hook_op == self.hook_op

@@ -10,6 +10,7 @@ from operadix import (
     GuardFailed,
     NewOperad,
     ComposeSeq,
+    FlatState,
     SimConfig,
     StateFormatError,
     TraceReset,
@@ -241,7 +242,10 @@ def test_load_decorated_skips_comments_in_every_section():
     text = dump_decorated(decorated_pair())
     commented = text.replace("[inx]\n", "[inx]\n# note\n").replace("[outx]\n", "[outx]\n  # x\n")
     commented = commented.replace("[alphabet]\n", "[alphabet]\n#\n")
-    assert load_decorated(commented) == decorated_pair()
+    loaded = load_decorated(commented)
+    # the dump is read into a raw record, and only a checked one becomes a FlatState
+    assert type(loaded.base) is FlatState
+    assert loaded == decorated_pair()
 
 
 def test_decorated_to_json():

@@ -30,6 +30,7 @@ from operadix import (
     replay,
     roots,
 )
+from operadix.serialize import _read_state
 
 
 def build(*events):
@@ -37,6 +38,11 @@ def build(*events):
     for ev in events:
         state = apply_event(state, ev)
     return state
+
+
+def sections(state):
+    """The raw record that state's dump reads into, as check and export read it."""
+    return _read_state(dump_state(state), state.config)
 
 
 @pytest.fixture
@@ -66,6 +72,15 @@ def test_new_operad_shape():
     assert s.in_op == {"f": frozenset({1, 2, 3, 4})}
     assert s.g_hat_op == {(p, "f"): "f" for p in (1, 2, 3, 4)}
     assert s.hook_op == {} and s.g_hook_op == {}
+
+
+def test_views_are_not_fields():
+    # my_operads, foliage and out_op are views of the stored relations
+    s = new_operad(empty_state(), "f", 2)
+    for view in ("my_operads", "foliage", "out_op"):
+        with pytest.raises(TypeError):
+            replace(s, **{view: getattr(s, view)})
+    assert s.my_operads == s.arity_op.keys() and s.foliage == s.g_hat_op.keys()
 
 
 def test_new_operad_output_always_one():
@@ -121,8 +136,9 @@ def test_new_operad_count_bound():
 
 def test_new_operad_foliage_budget():
     # events alone cannot fill the budget (max_fol >= max_oprd * max_args),
-    # so the foliage is filled by hand, up to one slot short of max_fol = 48
-    s = replace(empty_state(), foliage=frozenset((p, "f") for p in range(1, 48)))
+    # so the hats, and with them the foliage, are filled by hand, up to one
+    # slot short of max_fol = 48
+    s = replace(empty_state(), g_hat_op={(p, "f"): "f" for p in range(1, 48)})
     full = new_operad(s, "g", 1)
     assert len(full.foliage) == 48
     with pytest.raises(GuardFailed, match=r"^\[g28\] foliage would grow to 49, past max_fol = 48$"):
@@ -202,7 +218,7 @@ def test_compose_law_checks(quadratic_pair):
     s = build(NewOperad("f", 4), NewOperad("g", 2))
     s2, w = compose_seq_with_witness(s, "f", 2, "g")
     assert composition_law_violations(s2, w) == []
-    broken = replace(s2, foliage=frozenset((p, "f") for p in (1, 2, 3, 4)))
+    broken = replace(s2, g_hat_op={k: v for k, v in s2.g_hat_op.items() if k != (5, "f")})
     assert composition_law_violations(broken, w) == ["law-size"]
 
 
@@ -229,10 +245,7 @@ def ill_formed_states():
     s2 = new_operad(empty_state(wide), "g", 9)
     merged = replace(
         s1,
-        my_operads=s1.my_operads | s2.my_operads,
         arity_op={**s1.arity_op, **s2.arity_op},
-        foliage=s1.foliage | s2.foliage,
-        out_op={**s1.out_op, **s2.out_op},
         in_op={**s1.in_op, **s2.in_op},
         g_hat_op={**s1.g_hat_op, **s2.g_hat_op},
     )
@@ -301,11 +314,9 @@ def test_replace_derives_a_fresh_index(quadratic_pair):
     s = quadratic_pair
     assert foliage_of(s, "f") == (1, 2, 3, 4, 5)  # the index of s is now built
     assert replace(s) == s and "_index" not in repr(s)
-    shrunk = replace(
-        s, foliage=frozenset({(1, "f"), (2, "f")}), g_hat_op={(1, "f"): "f"}, g_hook_op={}
-    )
+    shrunk = replace(s, g_hat_op={(1, "f"): "f", (2, "f"): "g"}, g_hook_op={})
     assert foliage_of(shrunk, "f") == (1, 2)
-    assert hat_map_of(shrunk, "f") == {1: "f"}
+    assert hat_map_of(shrunk, "f") == {1: "f", 2: "g"}
     assert component_of(shrunk, "f") == {"f"}
     assert foliage_of(s, "f") == (1, 2, 3, 4, 5)
 
@@ -330,8 +341,9 @@ def test_invariant_sp3_detects_unshrunk_inputs(nested_triple):
 
 
 def test_invariant_sp1_detects_missing_hat(nested_triple):
+    # on a FlatState the foliage is the hats' keys, so only a dump can miss a hat
     hats = {k: v for k, v in nested_triple.g_hat_op.items() if k != (5, "f")}
-    assert check_invariants(replace(nested_triple, g_hat_op=hats)) == ["SP1", "SP2"]
+    assert check_invariants(replace(sections(nested_triple), g_hat_op=hats)) == ["SP1", "SP2"]
 
 
 def test_invariant_sp2_detects_lost_position(nested_triple):
@@ -339,24 +351,26 @@ def test_invariant_sp2_detects_lost_position(nested_triple):
     assert check_invariants(bad) == ["SP2", "SP3"]
 
 
+# Each edit changes one section of the dump's raw record and keeps the
+# others as read, so a view's section can disagree with its relation.
 @pytest.mark.parametrize(
     "labels,mutate",
     [
-        (["inv10", "inv30", "inv60", "invr10", "SP3"], lambda s: replace(s, my_operads=s.my_operads | {""})),
-        (["inv30"], lambda s: replace(s, arity_op={**s.arity_op, "zz": 3})),
+        (["inv10", "inv30", "inv60", "invr10", "SP3"], lambda s: replace(sections(s), my_operads=s.my_operads | {""})),
+        (["inv30"], lambda s: replace(sections(s), arity_op={**s.arity_op, "zz": 3})),
         # a phantom slot also has no hat
-        (["inv40", "SP1"], lambda s: replace(s, foliage=s.foliage | {(50, "f")})),
-        (["inv60"], lambda s: replace(s, out_op={**s.out_op, "f": frozenset({7})})),
-        (["SP2", "SP3"], lambda s: replace(s, in_op={**s.in_op, "f": frozenset({49})})),
-        (["invr20", "SP1", "SP2"], lambda s: replace(s, g_hat_op={**s.g_hat_op, (1, "zz"): "f"})),
-        (["invr40", "SP3"], lambda s: replace(s, hook_op={**s.hook_op, "g": "zz"})),
+        (["inv40", "SP1"], lambda s: replace(sections(s), foliage=s.foliage | {(50, "f")})),
+        (["inv60"], lambda s: replace(sections(s), out_op={**s.out_op, "f": frozenset({7})})),
+        (["SP2", "SP3"], lambda s: replace(sections(s), in_op={**s.in_op, "f": frozenset({49})})),
+        (["invr20", "SP1", "SP2"], lambda s: replace(sections(s), g_hat_op={**s.g_hat_op, (1, "zz"): "f"})),
+        (["invr40", "SP3"], lambda s: replace(sections(s), hook_op={**s.hook_op, "g": "zz"})),
         # hooking the root makes it a fake parent, so g's input count is off
-        (["invr40", "SP3"], lambda s: replace(s, hook_op={**s.hook_op, "f": "g"})),
-        (["invr40", "SP2"], lambda s: replace(s, g_hook_op={"g": "zz"})),
-        (["SP2", "SP3"], lambda s: replace(s, in_op={**s.in_op, "f": frozenset({1, 2, 3, 4, 5})})),
+        (["invr40", "SP3"], lambda s: replace(sections(s), hook_op={**s.hook_op, "f": "g"})),
+        (["invr40", "SP2"], lambda s: replace(sections(s), g_hook_op={"g": "zz"})),
+        (["SP2", "SP3"], lambda s: replace(sections(s), in_op={**s.in_op, "f": frozenset({1, 2, 3, 4, 5})})),
         # 4.0 and True equal 4 and 1, so only the arity rule's type test sees them
-        (["inv30"], lambda s: replace(s, arity_op={**s.arity_op, "f": 4.0})),
-        (["inv30"], lambda s: replace(new_operad(s, "h", 1), arity_op={**s.arity_op, "h": True})),
+        (["inv30"], lambda s: replace(sections(s), arity_op={**s.arity_op, "f": 4.0})),
+        (["inv30"], lambda s: replace(sections(new_operad(s, "h", 1)), arity_op={**s.arity_op, "h": True})),
     ],
 )
 def test_corrupted_states_report_typing_labels(quadratic_pair, labels, mutate):

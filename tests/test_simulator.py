@@ -283,13 +283,10 @@ def test_verdict_matches_check_invariants_under_a_dropped_input_set(monkeypatch,
 
 
 def state_of(forest, config):
-    """The state whose relations are the forest's, with out_op {1} on its roots."""
+    """The state whose stored relations are the forest's."""
     return FlatState(
         config=config,
-        my_operads=frozenset(forest.arity_op),
         arity_op=dict(forest.arity_op),
-        foliage=frozenset(forest.g_hat_op),
-        out_op=dict.fromkeys(forest.trees, frozenset({1})),
         in_op=dict(forest.in_op),
         g_hat_op=dict(forest.g_hat_op),
         hook_op=dict(forest.hook_op),
