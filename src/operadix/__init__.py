@@ -83,7 +83,6 @@ from .simulator import (
 from .tree_oracle import (
     LEAF,
     DuplicateLabels,
-    FlatView,
     Leaf,
     TreeOperad,
     compare_with_flat,

@@ -15,37 +15,36 @@ rooted at ``op1``.  Five relations are stored:
 
   arity_op     arity at creation time; composition never changes it
   in_op        per member, the slot labels that belong to that member
-  g_hat_op     (position, root) -> the member owning that slot
+  hats         root -> its row: each open slot of its composite -> the member owning it
   hook_op      member -> the member it was directly grafted into
   g_hook_op    member -> the root of its composite
 
 and three are read-only views of them:
 
   my_operads   every operad created so far, grafted or not: arity_op's keys
-  foliage      the open (position, root) slots of each composite: g_hat_op's keys
+  foliage      the open (position, root) slots of each composite: the rows' keys
   out_op       output positions, always {1}; its domain is the roots
 
 Events are pure: they validate guards against the old state and return
 a fresh state.  A rejected event raises GuardFailed carrying the
 guard's label and leaves the old state untouched.
 
-The stored relations are the only truth.  Readers that need the entries
-of one root (compose, the checks, the per-root queries) share a private
-per-root index: foliage positions, hats and grafted members bucketed by
-root.  An event whose state has an index carries it forward, in
-O(component); compose always reads it, and Sections.to_state hands
-over the index of the record the loader checked.  A state built by
-dataclasses.replace derives it from the relations in one pass each, on
-first use, and caches it.  A state must therefore never be mutated in
-place: build a new one, with dataclasses.replace.
+The stored relations are the only truth.  Grafting acts on one
+composite at a time, so the hats are stored a row per root, which
+compose, the checks and the per-root queries read.  Each root's grafted
+members are stored nowhere: a private map, _members, is derived from
+g_hook_op on first use and cached.  An event whose state has it carries
+it forward, in O(component); compose always reads it, and
+Sections.to_state hands over the one the loader's check built.  So
+never mutate a state in place: build a new one, with dataclasses.replace.
 """
 
 from __future__ import annotations
 
-from collections.abc import Set
+from collections.abc import Iterable, Set
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, TypeVar
+from typing import TypeVar
 
 from .core import (
     BoundsError,
@@ -81,47 +80,29 @@ class ComposeSeq:
 Event = NewOperad | ComposeSeq
 
 
-class _RootIndex(NamedTuple):
-    """The relations bucketed by root; readers must not mutate it."""
-
-    foliage: dict[OperadId, set[Position]]  # root -> its foliage positions
-    hats: dict[OperadId, dict[Position, OperadId]]  # key root -> {position: owner}
-    members: dict[OperadId, Set[OperadId]]  # root -> members grafted below it
+def _rows(pairs: Iterable[tuple[V, OperadId]]) -> dict[OperadId, dict[V, None]]:
+    """Group (item, root) pairs by root into rows {item: None}; a row is made once, not per item as setdefault."""
+    rows: dict[OperadId, dict[V, None]] = {}
+    for item, root in pairs:
+        row = rows.get(root)
+        if row is None:
+            rows[root] = {item: None}
+        else:
+            row[item] = None
+    return rows
 
 
 class _Indexed:
-    """The per-root index of a FlatState or a Sections record, read by attribute name."""
+    """The members map of a FlatState or a Sections record, read by attribute name."""
 
     @cached_property
-    def _index(self) -> _RootIndex:
-        """Per-root buckets of foliage, g_hat_op (in its order) and g_hook_op.
+    def _members(self) -> dict[OperadId, dict[OperadId, None]]:
+        """Root -> a row of the members grafted below it; readers must not mutate it.
 
         A cached property, not a field: equality, repr, dumps and
-        replace() see only the relations.  Buckets are made on the first
-        entry of each root, not per entry as setdefault would.
+        replace() see only the relations.
         """
-        foliage: dict[OperadId, set[Position]] = {}
-        for p, oo in self.foliage:
-            bucket = foliage.get(oo)
-            if bucket is None:
-                foliage[oo] = {p}
-            else:
-                bucket.add(p)
-        hats: dict[OperadId, dict[Position, OperadId]] = {}
-        for (p, oo), member in self.g_hat_op.items():
-            row = hats.get(oo)
-            if row is None:
-                hats[oo] = {p: member}
-            else:
-                row[p] = member
-        members: dict[OperadId, Set[OperadId]] = {}
-        for oo, root in self.g_hook_op.items():
-            below = members.get(root)
-            if below is None:
-                members[root] = {oo}
-            else:
-                below.add(oo)
-        return _RootIndex(foliage, hats, members)
+        return _rows(self.g_hook_op.items())
 
 
 @dataclass(frozen=True)
@@ -135,7 +116,7 @@ class FlatState(_Indexed):
     config: Config
     arity_op: dict[OperadId, int]
     in_op: dict[OperadId, frozenset[Position]]
-    g_hat_op: dict[tuple[Position, OperadId], OperadId]
+    hats: dict[OperadId, dict[Position, OperadId]]
     hook_op: dict[OperadId, OperadId]
     g_hook_op: dict[OperadId, OperadId]
 
@@ -145,11 +126,17 @@ class FlatState(_Indexed):
 
     @property
     def foliage(self) -> Set[tuple[Position, OperadId]]:
-        return self.g_hat_op.keys()
+        """Built from the rows on every read, so the hot paths count slots by the rows' lengths."""
+        return frozenset((p, root) for root, row in self.hats.items() for p in row)
 
     @property
     def out_op(self) -> dict[OperadId, frozenset[Position]]:
         return dict.fromkeys([op for op in self.arity_op if op not in self.g_hook_op], frozenset({1}))
+
+    @property
+    def _foliage_rows(self) -> dict[OperadId, dict[Position, OperadId]]:
+        """Root -> a row keyed by its foliage positions: the hats themselves."""
+        return self.hats
 
 
 @dataclass(frozen=True)
@@ -158,9 +145,9 @@ class Sections(_Indexed):
 
     Unlike a FlatState, a record may disagree with itself: its
     my_operads, foliage and out_op are read from their own sections, so
-    check_invariants can label a dump as it is.  check, export and the
-    loaders read dumps into it; dump_state and state_to_json take it as
-    they take a FlatState.
+    check_invariants can label a dump as it is.  Its hats are read into
+    rows, one per root, in line order.  check, export and the loaders
+    read dumps into it; dump_state and state_to_json take it too.
     """
 
     config: Config
@@ -169,25 +156,30 @@ class Sections(_Indexed):
     foliage: frozenset[tuple[Position, OperadId]]
     out_op: dict[OperadId, frozenset[Position]]
     in_op: dict[OperadId, frozenset[Position]]
-    g_hat_op: dict[tuple[Position, OperadId], OperadId]
+    hats: dict[OperadId, dict[Position, OperadId]]
     hook_op: dict[OperadId, OperadId]
     g_hook_op: dict[OperadId, OperadId]
+
+    @cached_property
+    def _foliage_rows(self) -> dict[OperadId, dict[Position, None]]:
+        """The foliage section in rows, whose keys() inv40, SP1 and foliage_of read as a FlatState's hats."""
+        return _rows(self.foliage)
 
     def to_state(self) -> FlatState:
         """The FlatState of a record that check_invariants passes.
 
-        By SP1 the record's foliage is its hats' keys, so the record's
-        index, which the check built, is the state's: it is handed over.
+        By inv30, inv60 and SP1 the sections it drops are its views of
+        the rest, and the members map the check built is handed over.
         """
         state = FlatState(
             config=self.config,
             arity_op=self.arity_op,
             in_op=self.in_op,
-            g_hat_op=self.g_hat_op,
+            hats=self.hats,
             hook_op=self.hook_op,
             g_hook_op=self.g_hook_op,
         )
-        state.__dict__["_index"] = self._index
+        state.__dict__["_members"] = self._members
         return state
 
 
@@ -196,7 +188,7 @@ def empty_state(config: Config | None = None) -> FlatState:
         config=config or Config(),
         arity_op={},
         in_op={},
-        g_hat_op={},
+        hats={},
         hook_op={},
         g_hook_op={},
     )
@@ -219,28 +211,21 @@ def new_operad(state: FlatState, op_id: OperadId, arity: int, outs: int = 1) -> 
         raise GuardFailed("g4", f"arity must be in 1..{cfg.max_args}, got {arity}")
     if type(outs) is not int or outs != 1:
         raise GuardFailed("g6", f"output count must be 1, got {outs}")
-    if len(state.g_hat_op) + arity > cfg.max_fol:
-        raise GuardFailed(
-            "g28",
-            f"foliage would grow to {len(state.g_hat_op) + arity}, past max_fol = {cfg.max_fol}",
-        )
+    cardfol = sum(map(len, state.hats.values()))
+    if cardfol + arity > cfg.max_fol:
+        raise GuardFailed("g28", f"foliage would grow to {cardfol + arity}, past max_fol = {cfg.max_fol}")
     positions = range(1, arity + 1)
     new_state = FlatState(
         config=cfg,
         arity_op={**state.arity_op, op_id: arity},
         in_op={**state.in_op, op_id: frozenset(positions)},
-        g_hat_op={**state.g_hat_op, **{(p, op_id): op_id for p in positions}},
+        hats={**state.hats, op_id: dict.fromkeys(positions, op_id)},
         hook_op=state.hook_op,
         g_hook_op=state.g_hook_op,
     )
-    # carry the index into the slot its cached_property reads, if state has one
-    index = state.__dict__.get("_index")
-    if index is not None:
-        new_state.__dict__["_index"] = _RootIndex(
-            {**index.foliage, op_id: set(positions)},
-            {**index.hats, op_id: dict.fromkeys(positions, op_id)},
-            index.members,
-        )
+    # no member moves, so the members map carries over, if state has one
+    if "_members" in state.__dict__:
+        new_state.__dict__["_members"] = state._members
     return new_state
 
 
@@ -293,11 +278,10 @@ def compose_seq_with_witness(
     input set is read off the relabelled slot map, witness.moved(hat1, hat2).
 
     Cost: the Python work is O(component): the guards, the new input
-    sets and the hats of op1 and op2, read from the per-root index of
-    the old state, the deletion of those two roots' old hats, and the
-    new state's index, derived from the old one by replacing the rows
-    of op1 and op2.  Building the new state also copies g_hat_op,
-    in_op, the hook maps and the index's outer dicts, in C.
+    sets, op1's new row, built from the rows of op1 and op2, and the
+    new members map, derived from the old one by replacing the entries
+    of op1 and op2.  Building the new state also copies in_op, the hook
+    maps and the outer dicts of hats and of the members map, in C.
     """
     if op1 == op2:
         raise GuardFailed("op-distinct", f"cannot compose {op1!r} with itself")
@@ -310,12 +294,12 @@ def compose_seq_with_witness(
     if op2 in state.g_hook_op:
         raise GuardFailed("rg24", f"{op2!r} is grafted inside a composite and cannot be grafted again")
 
-    index = state._index
-    hooked1 = frozenset([op1, *index.members.get(op1, ())])
-    hooked2 = frozenset([op2, *index.members.get(op2, ())])
-    # the index's buckets are shared, read-only
-    hat1 = index.hats.get(op1, {})
-    hat2 = index.hats.get(op2, {})
+    members = state._members
+    hooked1 = frozenset([op1, *members.get(op1, ())])
+    hooked2 = frozenset([op2, *members.get(op2, ())])
+    # the rows are shared between states, read-only
+    hat1 = state.hats.get(op1, {})
+    hat2 = state.hats.get(op2, {})
     if type(ii) is not int or ii not in hat1:
         raise GuardFailed("rg72", f"position {ii} is not an open slot of the composite rooted at {op1!r}")
     hat_op_ii = hat1[ii]
@@ -332,34 +316,24 @@ def compose_seq_with_witness(
     for oo, slots in owned.items():
         in_op[oo] = frozenset(slots)
 
-    # Delete op2's hats and those op1 owns (its input set, by SP2), then
-    # add the rebuilt hats under op1's key: the hats of op1's other
-    # members are overwritten in place and keep their position in
-    # g_hat_op's order.
-    new_g_hat = dict(state.g_hat_op)
-    for p in hat2:
-        del new_g_hat[p, op2]
-    for p in state.in_op[op1]:
-        del new_g_hat[p, op1]
-    new_g_hat.update({(p, op1): m for p, m in hats.items()})
+    # op1's row drops op1's own slots (its input set, by SP2); its other members'
+    # slots keep their place, with new owners, and the rest follow in moved() order
+    row = dict.fromkeys(p for p in hat1 if p not in state.in_op[op1])
+    row.update(hats)
+    new_hats = {**state.hats, op1: row}
+    del new_hats[op2]
 
     new_state = FlatState(
         config=state.config,
         arity_op=state.arity_op,
         in_op=in_op,
-        g_hat_op=new_g_hat,
+        hats=new_hats,
         hook_op={**state.hook_op, op2: hat_op_ii},
         g_hook_op={**state.g_hook_op, **dict.fromkeys(hooked2, op1)},
     )
-    # op1's hats row in new_g_hat's order: the surviving keys, then the new ones
-    row = dict.fromkeys(p for p in hat1 if p not in state.in_op[op1])
-    row.update(hats)
-    foliage = {**index.foliage, op1: set(range(1, cardfol1 + cardfol2))}
-    hat_rows = {**index.hats, op1: row}
-    members = {**index.members, op1: component - {op1}}
-    for rows in (foliage, hat_rows, members):
-        rows.pop(op2, None)
-    new_state.__dict__["_index"] = _RootIndex(foliage, hat_rows, members)
+    new_members = {**members, op1: {**members.get(op1, {}), **dict.fromkeys(hooked2)}}
+    new_members.pop(op2, None)
+    new_state.__dict__["_members"] = new_members
     return new_state, witness
 
 
@@ -391,18 +365,18 @@ def _require_root(state: FlatState, root: OperadId) -> None:
 def component_of(state: FlatState, root: OperadId) -> frozenset[OperadId]:
     """The root together with every member grafted below it."""
     _require_root(state, root)
-    return frozenset([root, *state._index.members.get(root, ())])
+    return frozenset([root, *state._members.get(root, ())])
 
 
 def foliage_of(state: FlatState, root: OperadId) -> tuple[Position, ...]:
     _require_root(state, root)
-    return tuple(sorted(state._index.foliage.get(root, ())))
+    return tuple(sorted(state._foliage_rows.get(root, ())))
 
 
 def hat_map_of(state: FlatState, root: OperadId) -> dict[Position, OperadId]:
-    """The hats keyed to root, in g_hat_op order; a copy the caller may keep."""
+    """The hats of root's composite, in row order; a copy the caller may keep."""
     _require_root(state, root)
-    return dict(state._index.hats.get(root, {}))
+    return dict(state.hats.get(root, {}))
 
 
 def in_map_of(state: FlatState, root: OperadId) -> dict[OperadId, frozenset[Position]]:
@@ -420,7 +394,7 @@ def _within_bounds(state: FlatState | Sections) -> tuple[bool, bool, bool]:
     return (
         len(state.my_operads) <= cfg.max_oprd and all(map(is_operad_id, state.my_operads)),
         _arities_ok(state.arity_op.values(), cfg),
-        len(state.foliage) <= cfg.max_fol,
+        sum(map(len, state._foliage_rows.values())) <= cfg.max_fol,
     )
 
 
@@ -439,7 +413,7 @@ def check_invariants(state: FlatState | Sections) -> list[str]:
     their keys, and a member shares its parent's root.  Each structural
     one holds for the whole state at once:
 
-      SP1  every open slot has one hat: g_hat_op's keys are the foliage
+      SP1  every open slot has one hat: root by root, the row's keys are the foliage
       SP2  each input set is exactly the slots its member owns: each hat
            lies in its owner's set under its owner's root, and the sets
            hold as many slots as there are hats
@@ -456,6 +430,8 @@ def check_invariants(state: FlatState | Sections) -> list[str]:
     ops = state.my_operads
     in_op = state.in_op
     arity_op = state.arity_op
+    hats = state.hats
+    fol_rows = state._foliage_rows
     g_hook_op = state.g_hook_op
 
     if not ids_ok:
@@ -464,28 +440,28 @@ def check_invariants(state: FlatState | Sections) -> list[str]:
         bad.append("inv30")
     if not (
         fol_ok
-        and ops >= state._index.foliage.keys()
-        and all(ps == set(range(1, len(ps) + 1)) for ps in state._index.foliage.values())
+        and ops >= fol_rows.keys()
+        and all(row.keys() == set(range(1, len(row) + 1)) for row in fol_rows.values())
     ):
         bad.append("inv40")
     if state.out_op != dict.fromkeys(ops - g_hook_op.keys(), frozenset({1})):
         bad.append("inv60")
     if in_op.keys() != ops:
         bad.append("invr10")
-    if not (ops >= state._index.hats.keys() and ops >= set(state.g_hat_op.values())):
+    if not (ops >= hats.keys() and all(ops >= set(row.values()) for row in hats.values())):
         bad.append("invr20")
     if not (
         ops >= g_hook_op.keys()
-        and ops >= state._index.members.keys()
+        and ops >= state._members.keys()
         and state.hook_op.keys() == g_hook_op.keys()
         and all(g_hook_op.get(parent, parent) == g_hook_op[m] for m, parent in state.hook_op.items())
     ):
         bad.append("invr40")
 
-    if state.g_hat_op.keys() != state.foliage:
+    if hats.keys() != fol_rows.keys() or any(row.keys() != fol_rows[root].keys() for root, row in hats.items()):
         bad.append("SP1")
-    if sum(map(len, in_op.values())) != len(state.g_hat_op) or not all(
-        p in in_op.get(m, ()) and g_hook_op.get(m, m) == root for (p, root), m in state.g_hat_op.items()
+    if sum(map(len, in_op.values())) != sum(map(len, hats.values())) or not all(
+        p in in_op.get(m, ()) and g_hook_op.get(m, m) == root for root, row in hats.items() for p, m in row.items()
     ):
         bad.append("SP2")
     children = dict.fromkeys(ops, 0)
@@ -506,5 +482,5 @@ def composition_law_violations(state: FlatState, witness: ComposeWitness) -> lis
     The arity sum of the composite needs no law of its own: SP1-SP3
     and invr40 of check_invariants imply it.
     """
-    fol = sorted(state._index.foliage.get(witness.op1, ()))
+    fol = sorted(state.hats.get(witness.op1, ()))
     return [] if fol == list(range(1, witness.cardfol1 + witness.cardfol2)) else ["law-size"]

@@ -40,7 +40,7 @@ def dump_state(state: FlatState | Sections) -> str:
     entries["foliage"] = [f"foliage: ({p},{op})" for p, op in state.foliage]
     entries["in"] = [f"in: {op}->{_set_text(ps)}" for op, ps in state.in_op.items()]
     entries["out"] = [f"out: {op}->{_set_text(ps)}" for op, ps in state.out_op.items()]
-    entries["hat"] = [f"hat: ({p},{op})->{m}" for (p, op), m in state.g_hat_op.items()]
+    entries["hat"] = [f"hat: ({p},{op})->{m}" for op, row in state.hats.items() for p, m in row.items()]
     entries["hook"] = [f"hook: {a}->{b}" for a, b in state.hook_op.items()]
     entries["ghook"] = [f"ghook: {a}->{b}" for a, b in state.g_hook_op.items()]
     lines: list[str] = []
@@ -115,7 +115,7 @@ def _state_from_entries(entries: Iterable[tuple[int, str, str]], config: Config 
     foliage: set[tuple[int, str]] = set()
     out_op: dict[str, frozenset[int]] = {}
     in_op: dict[str, frozenset[int]] = {}
-    g_hat_op: dict[tuple[int, str], str] = {}
+    hats: dict[str, dict[int, str]] = {}
     hook_op: dict[str, str] = {}
     g_hook_op: dict[str, str] = {}
 
@@ -155,10 +155,11 @@ def _state_from_entries(entries: Iterable[tuple[int, str, str]], config: Config 
             m = _HAT_RE.match(body)
             if not m:
                 raise StateFormatError(f"line {lineno}: malformed hat entry {body!r}")
-            key = (int(m.group(1)), m.group(2))
-            if key in g_hat_op:
-                raise StateFormatError(f"line {lineno}: duplicate hat entry for {key}")
-            g_hat_op[key] = m.group(3)
+            p, root = int(m.group(1)), m.group(2)
+            row = hats.setdefault(root, {})
+            if p in row:
+                raise StateFormatError(f"line {lineno}: duplicate hat entry for {(p, root)}")
+            row[p] = m.group(3)
         else:
             m = _MAP_RE.match(body)
             if not m:
@@ -176,7 +177,7 @@ def _state_from_entries(entries: Iterable[tuple[int, str, str]], config: Config 
         foliage=frozenset(foliage),
         out_op=out_op,
         in_op=in_op,
-        g_hat_op=g_hat_op,
+        hats=hats,
         hook_op=hook_op,
         g_hook_op=g_hook_op,
     )
@@ -190,7 +191,7 @@ def state_to_json(state: FlatState | Sections) -> dict:
         "foliage": [[p, op] for p, op in sorted(state.foliage, key=lambda e: (e[1], e[0]))],
         "in": {op: sorted(ps) for op, ps in sorted(state.in_op.items())},
         "out": {op: sorted(ps) for op, ps in sorted(state.out_op.items())},
-        "hat": [[p, op, m] for (p, op), m in sorted(state.g_hat_op.items(), key=lambda e: (e[0][1], e[0][0]))],
+        "hat": [[p, op, m] for op in sorted(state.hats) for p, m in sorted(state.hats[op].items())],
         "hook": {a: b for a, b in sorted(state.hook_op.items())},
         "ghook": {a: b for a, b in sorted(state.g_hook_op.items())},
     }

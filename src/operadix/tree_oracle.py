@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 
 from .core import BoundsError, OperadError, OperadId, Position
 from .flat_machine import FlatState, component_of, foliage_of, hat_map_of
@@ -161,9 +160,9 @@ def compare_with_flat(state: FlatState, root: OperadId, tree: TreeOperad) -> lis
 
     Cost: O(component) per root.  The tree is walked once in its
     lifetime (the walk is cached on it), the machine side is read
-    through the state's per-root index, and each member costs one
-    lookup in in_op, hook_op and arity_op.  The index itself is
-    built once per state, in O(state), and shared by every root
+    from root's row and the state's members map, and each member costs
+    one lookup in in_op, hook_op and arity_op.  The members map is
+    built at most once per state, in O(state), and shared by every root
     compared against it.  To check a whole state against all its
     mirrors, MirrorForest.agrees_with is cheaper; this comparison then
     only explains a mismatch, root by root.
@@ -210,13 +209,13 @@ class MirrorForest:
     trees maps each root to its tree, keyed by the tree's own label.
     The other attributes are the union of the trees' cached flat views,
     in the machine's vocabulary: arity_op and in_op on every node,
-    g_hat_op keyed (position, root), and hook_op and g_hook_op on every
-    grafted node.  The foliage pairs are the keys of g_hat_op, since a
-    tree's leaves are its foliage.  Labels never repeat across the
-    trees, so the union is disjoint and each tree's view is its slice.
+    hats with each tree's cached hat_map as its root's row, shared and
+    read-only, and hook_op and g_hook_op on every grafted node.  Labels
+    never repeat across the trees, so the union is disjoint and each
+    tree's view is its slice.
 
     Cost: new and graft are O(component).  Grafting keeps every label,
-    so graft drops only op2's hats and writes the grafted tree's
+    so graft drops only op2's row and writes the grafted tree's
     entries over the old ones.  agrees_with is one == per relation.
     """
 
@@ -224,7 +223,7 @@ class MirrorForest:
         self.trees: dict[OperadId, TreeOperad] = {}
         self.arity_op: dict[OperadId, int] = {}
         self.in_op: dict[OperadId, frozenset[Position]] = {}
-        self.g_hat_op: dict[tuple[Position, OperadId], OperadId] = {}
+        self.hats: dict[OperadId, dict[Position, OperadId]] = {}
         self.hook_op: dict[OperadId, OperadId] = {}
         self.g_hook_op: dict[OperadId, OperadId] = {}
 
@@ -236,9 +235,9 @@ class MirrorForest:
 
     def graft(self, op1: OperadId, ii: Position, op2: OperadId) -> None:
         """Replace the trees of roots op1 and op2 by op2's grafted into leaf ii of op1's."""
+        # grafted first: a graft that raises leaves the forest unchanged
         grafted = graft(self.trees[op1], ii, self.trees[op2])
-        for p in self.trees.pop(op2)._walked[0].hat_map:
-            del self.g_hat_op[p, op2]
+        del self.trees[op2], self.hats[op2]
         self._add(grafted)
 
     def _add(self, tree: TreeOperad) -> None:
@@ -247,7 +246,7 @@ class MirrorForest:
         self.trees[root] = tree
         self.arity_op.update(arities)
         self.in_op.update(view.in_map)
-        self.g_hat_op.update(zip(zip(view.hat_map, repeat(root)), view.hat_map.values()))
+        self.hats[root] = view.hat_map
         self.hook_op.update(view.hook_map)
         self.g_hook_op.update(dict.fromkeys(view.hook_map, root))
 
@@ -262,7 +261,7 @@ class MirrorForest:
         return (
             state.arity_op == self.arity_op
             and state.in_op == self.in_op
-            and state.g_hat_op == self.g_hat_op
+            and state.hats == self.hats
             and state.hook_op == self.hook_op
             and state.g_hook_op == self.g_hook_op
         )

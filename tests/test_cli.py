@@ -174,13 +174,13 @@ UNREACHABLE = {
         _read_state(dump_state(two_roots())),
         foliage=frozenset({(1, "f"), (2, "f"), (9, "f"), (1, "h"), (2, "h")}),
     ),
-    "hat-owned-by-another-root": lambda: two_roots(g_hat_op={**two_roots().g_hat_op, (1, "f"): "h"}),
+    "hat-owned-by-another-root": lambda: two_roots(hats={"f": {1: "h", 2: "f", 3: "f"}, "h": {1: "h", 2: "h"}}),
     "no-arities": lambda: two_roots(arity_op={}),
     # every position lies in 1..max_fol, but f:2's two slots are not 1..2
     "slots-1-and-3": lambda: replace(
         replay(parse_trace("new f 2 1\n")),
         in_op={"f": frozenset({1, 3})},
-        g_hat_op={(1, "f"): "f", (3, "f"): "f"},
+        hats={"f": {1: "f", 3: "f"}},
     ),
 }
 

@@ -70,7 +70,7 @@ def test_new_operad_shape():
     assert s.foliage == {(p, "f") for p in (1, 2, 3, 4)}
     assert s.out_op == {"f": frozenset({1})}
     assert s.in_op == {"f": frozenset({1, 2, 3, 4})}
-    assert s.g_hat_op == {(p, "f"): "f" for p in (1, 2, 3, 4)}
+    assert s.hats == {"f": {1: "f", 2: "f", 3: "f", 4: "f"}}
     assert s.hook_op == {} and s.g_hook_op == {}
 
 
@@ -80,7 +80,7 @@ def test_views_are_not_fields():
     for view in ("my_operads", "foliage", "out_op"):
         with pytest.raises(TypeError):
             replace(s, **{view: getattr(s, view)})
-    assert s.my_operads == s.arity_op.keys() and s.foliage == s.g_hat_op.keys()
+    assert s.my_operads == s.arity_op.keys() and s.foliage == {(1, "f"), (2, "f")}
 
 
 def test_new_operad_output_always_one():
@@ -138,7 +138,7 @@ def test_new_operad_foliage_budget():
     # events alone cannot fill the budget (max_fol >= max_oprd * max_args),
     # so the hats, and with them the foliage, are filled by hand, up to one
     # slot short of max_fol = 48
-    s = replace(empty_state(), g_hat_op={(p, "f"): "f" for p in range(1, 48)})
+    s = replace(empty_state(), hats={"f": dict.fromkeys(range(1, 48), "f")})
     full = new_operad(s, "g", 1)
     assert len(full.foliage) == 48
     with pytest.raises(GuardFailed, match=r"^\[g28\] foliage would grow to 49, past max_fol = 48$"):
@@ -218,7 +218,7 @@ def test_compose_law_checks(quadratic_pair):
     s = build(NewOperad("f", 4), NewOperad("g", 2))
     s2, w = compose_seq_with_witness(s, "f", 2, "g")
     assert composition_law_violations(s2, w) == []
-    broken = replace(s2, g_hat_op={k: v for k, v in s2.g_hat_op.items() if k != (5, "f")})
+    broken = replace(s2, hats={"f": {p: m for p, m in s2.hats["f"].items() if p != 5}})
     assert composition_law_violations(broken, w) == ["law-size"]
 
 
@@ -231,6 +231,11 @@ def test_compose_guards(quadratic_pair):
     assert guard_label(compose_seq, s, "h", 1, "g") == "rg24"  # g cannot move again
     assert guard_label(compose_seq, s, "f", 0, "h") == "rg72"
     assert guard_label(compose_seq, s, "f", 9, "h") == "rg72"
+
+
+def with_hat(state, p, root, owner):
+    """state with the slot p of root's row given to owner, in place in the row."""
+    return replace(state, hats={**state.hats, root: {**state.hats.get(root, {}), p: owner}})
 
 
 def ill_formed_states():
@@ -247,13 +252,13 @@ def ill_formed_states():
         s1,
         arity_op={**s1.arity_op, **s2.arity_op},
         in_op={**s1.in_op, **s2.in_op},
-        g_hat_op={**s1.g_hat_op, **s2.g_hat_op},
+        hats={**s1.hats, **s2.hats},
     )
     return {
         # a slot owner outside its composite, on slot ii, below it, or in op2's composite
-        "foreign": (replace(s, g_hat_op={**s.g_hat_op, (2, "f"): "h"}), ["SP2"]),
-        "foreign_low": (replace(s, g_hat_op={**s.g_hat_op, (4, "f"): "h"}), ["SP2"]),
-        "foreign_grafted": (replace(t, g_hat_op={**t.g_hat_op, (2, "h"): "k"}), ["SP2"]),
+        "foreign": (with_hat(s, 2, "f", "h"), ["SP2"]),
+        "foreign_low": (with_hat(s, 4, "f", "h"), ["SP2"]),
+        "foreign_grafted": (with_hat(t, 2, "h", "k"), ["SP2"]),
         "no_inputs": (replace(s, in_op={k: v for k, v in s.in_op.items() if k != "g"}), ["invr10", "SP2", "SP3"]),
         "drained": (replace(s, in_op={**s.in_op, "g": frozenset()}), ["SP2", "SP3"]),
         # a member with no in_op entry, under either root
@@ -304,21 +309,22 @@ def test_roots_and_component(nested_triple):
 
 
 def test_compose_drops_hats_keyed_to_the_grafted_root():
-    # g is a composite when it is grafted: no (p, g) key may outlive that
+    # g is a composite when it is grafted: its row may not outlive that
     s = replay(parse_trace("new f 2 1\nnew g 2 1\nnew h 2 1\ncompose g 1 h\ncompose f 1 g\n"))
-    assert [key for key in s.g_hat_op if key[1] == "g"] == []
-    assert set(s.g_hat_op) == {(p, "f") for p in foliage_of(s, "f")}
+    assert s.hats == {"f": {1: "h", 2: "h", 3: "g", 4: "f"}}
+    assert s.foliage == {(p, "f") for p in (1, 2, 3, 4)}
 
 
 def test_replace_derives_a_fresh_index(quadratic_pair):
     s = quadratic_pair
-    assert foliage_of(s, "f") == (1, 2, 3, 4, 5)  # the index of s is now built
-    assert replace(s) == s and "_index" not in repr(s)
-    shrunk = replace(s, g_hat_op={(1, "f"): "f", (2, "f"): "g"}, g_hook_op={})
+    assert component_of(s, "f") == {"f", "g"}  # the members map of s is now built
+    assert replace(s) == s and "_members" not in repr(s) and "_members" not in vars(replace(s))
+    shrunk = replace(s, hats={"f": {1: "f", 2: "g"}}, g_hook_op={})
+    assert shrunk.hats == {"f": {1: "f", 2: "g"}} and shrunk._members == {}
     assert foliage_of(shrunk, "f") == (1, 2)
     assert hat_map_of(shrunk, "f") == {1: "f", 2: "g"}
     assert component_of(shrunk, "f") == {"f"}
-    assert foliage_of(s, "f") == (1, 2, 3, 4, 5)
+    assert s._members == {"f": {"g": None}} and foliage_of(s, "f") == (1, 2, 3, 4, 5)
 
 
 def test_hat_map_of_returns_a_copy(quadratic_pair):
@@ -342,8 +348,9 @@ def test_invariant_sp3_detects_unshrunk_inputs(nested_triple):
 
 def test_invariant_sp1_detects_missing_hat(nested_triple):
     # on a FlatState the foliage is the hats' keys, so only a dump can miss a hat
-    hats = {k: v for k, v in nested_triple.g_hat_op.items() if k != (5, "f")}
-    assert check_invariants(replace(sections(nested_triple), g_hat_op=hats)) == ["SP1", "SP2"]
+    record = sections(nested_triple)
+    hats = {"f": {p: m for p, m in record.hats["f"].items() if p != 5}}
+    assert check_invariants(replace(record, hats=hats)) == ["SP1", "SP2"]
 
 
 def test_invariant_sp2_detects_lost_position(nested_triple):
@@ -362,7 +369,7 @@ def test_invariant_sp2_detects_lost_position(nested_triple):
         (["inv40", "SP1"], lambda s: replace(sections(s), foliage=s.foliage | {(50, "f")})),
         (["inv60"], lambda s: replace(sections(s), out_op={**s.out_op, "f": frozenset({7})})),
         (["SP2", "SP3"], lambda s: replace(sections(s), in_op={**s.in_op, "f": frozenset({49})})),
-        (["invr20", "SP1", "SP2"], lambda s: replace(sections(s), g_hat_op={**s.g_hat_op, (1, "zz"): "f"})),
+        (["invr20", "SP1", "SP2"], lambda s: replace(sections(s), hats={**s.hats, "zz": {1: "f"}})),
         (["invr40", "SP3"], lambda s: replace(sections(s), hook_op={**s.hook_op, "g": "zz"})),
         # hooking the root makes it a fake parent, so g's input count is off
         (["invr40", "SP3"], lambda s: replace(sections(s), hook_op={**s.hook_op, "f": "g"})),

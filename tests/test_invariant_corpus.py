@@ -9,7 +9,7 @@ iterates no unordered container, so the cases are the same on every
 run.
 
 The same traces and mutations also check the per-root queries, which
-read the state's per-root index, against scan-based reference
+read the state's rows and members map, against scan-based reference
 definitions kept here, and the mirror forest, which must agree with
 exactly the states the events reach.
 """
@@ -58,11 +58,11 @@ RELATIONS = (
     "foliage",
     "out_op",
     "in_op",
-    "g_hat_op",
+    "hats",
     "hook_op",
     "g_hook_op",
 )
-STORED = ("arity_op", "in_op", "g_hat_op", "hook_op", "g_hook_op")
+STORED = ("arity_op", "in_op", "hats", "hook_op", "g_hook_op")
 
 
 def sections(state):
@@ -96,12 +96,31 @@ def reachable_pairs():
                 yield state, forest
 
 
+def flat_hats(hats):
+    """The rows of hats as one (position, root) -> owner map, the hat section's form."""
+    return {(p, root): m for root, row in hats.items() for p, m in row.items()}
+
+
+def with_relation(record, name, rel):
+    """record with the relation name set to rel; flat hats are regrouped into rows."""
+    if name == "hats":
+        rows = {}
+        for (p, root), m in rel.items():
+            rows.setdefault(root, {})[p] = m
+        rel = rows
+    return replace(record, **{name: rel})
+
+
 def mutate(record, rng: random.Random):
-    """One seeded edit of one section of record, and a description that starts with its name."""
+    """One seeded edit of one section of record, and a description that starts with its name.
+
+    The hat section is edited in its flat form, so the draws do not
+    depend on how the record groups it.
+    """
     cfg = record.config
     pool = sorted(record.my_operads) + ["zz"]
     name = rng.choice(RELATIONS)
-    rel = getattr(record, name)
+    rel = flat_hats(record.hats) if name == "hats" else getattr(record, name)
 
     def pos() -> int:
         return rng.randint(0, cfg.max_fol + 1)
@@ -120,9 +139,9 @@ def mutate(record, rng: random.Random):
     keys = sorted(rel)
     if keys and rng.random() < 0.4:
         key = rng.choice(keys)
-        return replace(record, **{name: {k: v for k, v in rel.items() if k != key}}), f"{name} drop {key!r}"
+        return with_relation(record, name, {k: v for k, v in rel.items() if k != key}), f"{name} drop {key!r}"
 
-    if name == "g_hat_op":
+    if name == "hats":
         key = rng.choice(keys) if keys and rng.random() < 0.5 else (pos(), rng.choice(pool))
         value = rng.choice(pool)
     elif name in ("hook_op", "g_hook_op"):
@@ -139,7 +158,7 @@ def mutate(record, rng: random.Random):
         else:
             value = old | {pos()}
     shown = sorted(value) if isinstance(value, frozenset) else value
-    return replace(record, **{name: {**rel, key: value}}), f"{name} set {key!r} {shown!r}"
+    return with_relation(record, name, {**rel, key: value}), f"{name} set {key!r} {shown!r}"
 
 
 def corpus_mutations():
@@ -237,19 +256,11 @@ def plan_states(plan):
 
 
 def index_carried(state):
-    """Whether an event carried an index into state; if so, it must equal the derived one.
-
-    The hats rows are compared as item lists, so their order counts.
-    """
-    carried = vars(state).get("_index")
+    """Whether an event carried a members map into state; if so, it must equal the derived one."""
+    carried = vars(state).get("_members")
     if carried is None:
         return False
-    derived = replace(state)._index
-    assert carried.foliage == derived.foliage
-    assert carried.members == derived.members
-    assert {root: list(row.items()) for root, row in carried.hats.items()} == {
-        root: list(row.items()) for root, row in derived.hats.items()
-    }
+    assert carried == replace(state)._members
     return True
 
 
@@ -257,7 +268,7 @@ def index_carried(state):
 @given(plan=event_plans)
 def test_event_traces_stay_clean(plan):
     for step, (state, forest) in enumerate(plan_states(plan)):
-        # check_invariants caches an index on each state, so every later event carries one
+        # check_invariants caches a members map on each state, so every later event carries one
         assert index_carried(state) == (step > 0)
         assert check_invariants(state) == []
         for root in sorted(forest.trees):
@@ -268,7 +279,7 @@ def test_event_traces_stay_clean(plan):
 @settings(max_examples=60, deadline=None)
 @given(plan=event_plans)
 def test_load_state_hands_over_the_checked_index(plan):
-    # load_state builds the state from the record it checked, with that record's index
+    # load_state builds the state from the record it checked, with that record's members map
     for state, _ in plan_states(plan):
         loaded = load_state(dump_state(state), state.config)
         assert loaded == state
@@ -276,9 +287,9 @@ def test_load_state_hands_over_the_checked_index(plan):
 
 
 def test_events_carry_the_index():
-    # an event carries the index when its state has one, and compose reads
-    # its state's index: so from the first compose of a segment on, every
-    # state carries one
+    # an event carries the members map when its state has one, and compose
+    # reads its state's map: so from the first compose of a segment on,
+    # every state carries one
     assert Counter(index_carried(state) for state, _ in reachable_pairs()) == {True: 130, False: 32}
     config = Config(max_oprd=128, max_fol=768)
     state, composed = empty_state(config), False
@@ -292,7 +303,7 @@ def test_events_carry_the_index():
 
 
 # Scan-based reference definitions of the per-root queries: each reads
-# whole relations and shares no code with the per-root index.
+# whole relations and shares no code with the rows' lookups or the members map.
 
 
 def ref_require_root(state, root):
@@ -312,7 +323,7 @@ def ref_foliage_of(state, root):
 
 def ref_hat_map_of(state, root):
     ref_require_root(state, root)
-    return {p: m for (p, oo), m in state.g_hat_op.items() if oo == root}
+    return {p: m for (p, oo), m in flat_hats(state.hats).items() if oo == root}
 
 
 def ref_in_map_of(state, root):
@@ -339,7 +350,7 @@ def outcome(query, state, root):
         result = query(state, root)
     except (BoundsError, KeyError) as exc:
         return type(exc)
-    # dict equality ignores order, and hat_map_of promises g_hat_op order
+    # dict equality ignores order, and hat_map_of promises row order
     return list(result.items()) if isinstance(result, dict) else result
 
 
@@ -357,6 +368,6 @@ def test_root_queries_match_scans_along_traces(plan):
 
 
 def test_root_queries_match_scans_on_corpus_mutations():
-    # the queries read a record's index and sections by the same names as a state's
+    # the queries read a record's rows, members map and sections by the same names as a state's
     for _, _, _, bad, _ in corpus_mutations():
         assert_queries_match_scans(bad)

@@ -129,6 +129,28 @@ def test_load_rejects_malformed(text):
         load_state(text)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("[hat]\nhat: (1,f)->f\nhat: (1,f)->g\n", "line 3: duplicate hat entry for (1, 'f')"),
+        ("[hat]\nhat: (1,f)f\n", "line 2: malformed hat entry '(1,f)f'"),
+        ("[hat]\nhat: (١,f)->f\n", "line 2: malformed hat entry '(١,f)->f'"),
+    ],
+)
+def test_load_names_the_bad_hat_line(text, message):
+    with pytest.raises(StateFormatError) as err:
+        load_state(text)
+    assert str(err.value) == message
+
+
+def test_hat_lines_of_one_root_load_into_one_row():
+    # sorted as strings, the hat lines of f lie on both sides of g's
+    state = apply_event(apply_event(empty_state(), NewOperad("f", 2)), NewOperad("g", 1))
+    text = dump_state(state)
+    assert "hat: (1,f)->f\nhat: (1,g)->g\nhat: (2,f)->f\n" in text
+    assert load_state(text).hats == {"f": {1: "f", 2: "f"}, "g": {1: "g"}} == state.hats
+
+
 def test_load_error_mentions_line_number():
     with pytest.raises(StateFormatError) as err:
         load_state("[operads]\noperads: f\nbroken line here\n")

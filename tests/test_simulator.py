@@ -212,7 +212,7 @@ def swap_two_owners(state, root):
     a, b = hats[first], hats[other]
     return replace(
         state,
-        g_hat_op={**state.g_hat_op, (first, root): b, (other, root): a},
+        hats={**state.hats, root: {**state.hats[root], first: b, other: a}},
         in_op={**state.in_op, a: state.in_op[a] - {first} | {other}, b: state.in_op[b] - {other} | {first}},
     )
 
@@ -288,7 +288,7 @@ def state_of(forest, config):
         config=config,
         arity_op=dict(forest.arity_op),
         in_op=dict(forest.in_op),
-        g_hat_op=dict(forest.g_hat_op),
+        hats=dict(forest.hats),
         hook_op=dict(forest.hook_op),
         g_hook_op=dict(forest.g_hook_op),
     )
@@ -314,7 +314,7 @@ def test_a_state_that_agrees_with_a_forest_is_well_formed(plan):
         else:
             op1 = roots[a % len(roots)]
             others = [r for r in roots if r != op1]
-            leaves = sum(1 for _, root in forest.g_hat_op if root == op1)
+            leaves = len(forest.hats[op1])
             forest.graft(op1, 1 + slot % leaves, others[b % len(others)])
         state = state_of(forest, bounds)
         assert forest.agrees_with(state)

@@ -89,7 +89,21 @@ def test_forest_rejects_a_label_it_holds():
         with pytest.raises(DuplicateLabels):
             forest.new(label, 1)
     assert list(forest.trees) == ["f"]
-    assert forest.g_hat_op == {(1, "f"): "g", (2, "f"): "f"}
+    assert forest.hats == {"f": {1: "g", 2: "f"}}
+
+
+def test_a_failed_forest_graft_changes_nothing():
+    forest = MirrorForest()
+    for label, arity in (("f", 2), ("g", 2), ("h", 3)):
+        forest.new(label, arity)
+    forest.graft("f", 1, "g")
+    relations = ("arity_op", "in_op", "hats", "hook_op", "g_hook_op")
+    before = {name: repr(getattr(forest, name)) for name in ("trees", *relations)}
+    for ii in (0, 4):  # f's composite has leaves 1..3
+        with pytest.raises(BoundsError):
+            forest.graft("f", ii, "h")
+        assert {name: repr(getattr(forest, name)) for name in before} == before
+    assert list(forest.trees) == ["f", "h"] and forest.hats["h"] == {1: "h", 2: "h", 3: "h"}
 
 
 def test_flat_view_elementary():
@@ -197,7 +211,7 @@ PINNED_MISMATCHES = {
     ),
     # a ninth hat is also a ninth leaf, since the foliage is the hats' keys
     "foliage": (
-        lambda s: replace(s, g_hat_op={**s.g_hat_op, (9, "f"): "f"}),
+        lambda s: replace(s, hats={"f": {**s.hats["f"], 9: "f"}}),
         nested_tree,
         [
             "foliage: machine (1, 2, 3, 4, 5, 6, 7, 8, 9) != tree (1, 2, 3, 4, 5, 6, 7, 8)",
@@ -220,7 +234,7 @@ PINNED_MISMATCHES = {
         ],
     ),
     "hat": (
-        lambda s: replace(s, g_hat_op={**s.g_hat_op, (5, "f"): "g"}),
+        lambda s: replace(s, hats={"f": {**s.hats["f"], 5: "g"}}),
         nested_tree,
         [
             "hat: machine {2: 'g', 3: 'g', 4: 'h', 1: 'f', 5: 'g', 6: 'h', 7: 'f', 8: 'f'} "
