@@ -17,26 +17,25 @@ rooted at ``op1``.  Five relations are stored:
   in_op        per member, the slot labels that belong to that member
   hats         root -> its row: each open slot of its composite -> the member owning it
   hook_op      member -> the member it was directly grafted into
-  g_hook_op    member -> the root of its composite
+  members      root -> its row: each member grafted below it -> None
 
-and three are read-only views of them:
+and four are read-only views of them:
 
   my_operads   every operad created so far, grafted or not: arity_op's keys
   foliage      the open (position, root) slots of each composite: the rows' keys
   out_op       output positions, always {1}; its domain is the roots
+  g_hook_op    member -> the root of its composite: the members rows inverted
 
 Events are pure: they validate guards against the old state and return
 a fresh state.  A rejected event raises GuardFailed carrying the
 guard's label and leaves the old state untouched.
 
-The stored relations are the only truth.  Grafting acts on one
-composite at a time, so the hats are stored a row per root, which
-compose, the checks and the per-root queries read.  Each root's grafted
-members are stored nowhere: a private map, _members, is derived from
-g_hook_op on first use and cached.  An event whose state has it carries
-it forward, in O(component); compose always reads it, and
-Sections.to_state hands over the one the loader's check built.  So
-never mutate a state in place: build a new one, with dataclasses.replace.
+The stored relations are the only truth, and a state caches nothing.
+Grafting acts on one composite at a time, so the hats and the members
+are stored a row per root, which compose, the checks and the per-root
+queries read; an operad is grafted when it has a hook_op entry.  The
+rows are shared between states, so never mutate a state in place:
+build a new one, with dataclasses.replace.
 """
 
 from __future__ import annotations
@@ -92,25 +91,14 @@ def _rows(pairs: Iterable[tuple[V, OperadId]]) -> dict[OperadId, dict[V, None]]:
     return rows
 
 
-class _Indexed:
-    """The members map of a FlatState or a Sections record, read by attribute name."""
-
-    @cached_property
-    def _members(self) -> dict[OperadId, dict[OperadId, None]]:
-        """Root -> a row of the members grafted below it; readers must not mutate it.
-
-        A cached property, not a field: equality, repr, dumps and
-        replace() see only the relations.
-        """
-        return _rows(self.g_hook_op.items())
-
-
 @dataclass(frozen=True)
-class FlatState(_Indexed):
-    """A machine state: five stored relations and three read-only views.
+class FlatState:
+    """A machine state: five stored relations and four read-only views.
 
-    The views are built from the relations, out_op in arity_op's order,
-    so inv60, SP1 and the key half of inv30 hold by construction.
+    The views are built from the relations, out_op in arity_op's order
+    on the operads with no hook_op entry, so SP1 and the key half of
+    inv30 hold by construction, and inv60 holds whenever invr40 does.
+    Only a root with a grafted member has a members row.
     """
 
     config: Config
@@ -118,7 +106,7 @@ class FlatState(_Indexed):
     in_op: dict[OperadId, frozenset[Position]]
     hats: dict[OperadId, dict[Position, OperadId]]
     hook_op: dict[OperadId, OperadId]
-    g_hook_op: dict[OperadId, OperadId]
+    members: dict[OperadId, dict[OperadId, None]]
 
     @property
     def my_operads(self) -> Set[OperadId]:
@@ -131,7 +119,12 @@ class FlatState(_Indexed):
 
     @property
     def out_op(self) -> dict[OperadId, frozenset[Position]]:
-        return dict.fromkeys([op for op in self.arity_op if op not in self.g_hook_op], frozenset({1}))
+        return dict.fromkeys([op for op in self.arity_op if op not in self.hook_op], frozenset({1}))
+
+    @property
+    def g_hook_op(self) -> dict[OperadId, OperadId]:
+        """Built from the rows on every read, for dumps and the whole-state check; events read the rows."""
+        return {m: root for root, row in self.members.items() for m in row}
 
     @property
     def _foliage_rows(self) -> dict[OperadId, dict[Position, OperadId]]:
@@ -140,14 +133,15 @@ class FlatState(_Indexed):
 
 
 @dataclass(frozen=True)
-class Sections(_Indexed):
+class Sections:
     """The eight sections of a dump as read, before any check.
 
     Unlike a FlatState, a record may disagree with itself: its
-    my_operads, foliage and out_op are read from their own sections, so
-    check_invariants can label a dump as it is.  Its hats are read into
-    rows, one per root, in line order.  check, export and the loaders
-    read dumps into it; dump_state and state_to_json take it too.
+    my_operads, foliage, out_op and g_hook_op are read from their own
+    sections, so check_invariants can label a dump as it is.  Its hats
+    are read into rows, one per root, in line order; its members rows
+    are built from g_hook_op.  check, export and the loaders read dumps
+    into it; dump_state and state_to_json take it too.
     """
 
     config: Config
@@ -165,22 +159,18 @@ class Sections(_Indexed):
         """The foliage section in rows, whose keys() inv40, SP1 and foliage_of read as a FlatState's hats."""
         return _rows(self.foliage)
 
+    @cached_property
+    def members(self) -> dict[OperadId, dict[OperadId, None]]:
+        """The ghook section in rows, root -> {member: None}, which invr40 and component_of read as a FlatState's."""
+        return _rows(self.g_hook_op.items())
+
     def to_state(self) -> FlatState:
         """The FlatState of a record that check_invariants passes.
 
         By inv30, inv60 and SP1 the sections it drops are its views of
-        the rest, and the members map the check built is handed over.
+        the rest, and the ghook section goes in as the rows the check built.
         """
-        state = FlatState(
-            config=self.config,
-            arity_op=self.arity_op,
-            in_op=self.in_op,
-            hats=self.hats,
-            hook_op=self.hook_op,
-            g_hook_op=self.g_hook_op,
-        )
-        state.__dict__["_members"] = self._members
-        return state
+        return FlatState(self.config, self.arity_op, self.in_op, self.hats, self.hook_op, self.members)
 
 
 def empty_state(config: Config | None = None) -> FlatState:
@@ -190,7 +180,7 @@ def empty_state(config: Config | None = None) -> FlatState:
         in_op={},
         hats={},
         hook_op={},
-        g_hook_op={},
+        members={},
     )
 
 
@@ -215,18 +205,14 @@ def new_operad(state: FlatState, op_id: OperadId, arity: int, outs: int = 1) -> 
     if cardfol + arity > cfg.max_fol:
         raise GuardFailed("g28", f"foliage would grow to {cardfol + arity}, past max_fol = {cfg.max_fol}")
     positions = range(1, arity + 1)
-    new_state = FlatState(
+    return FlatState(
         config=cfg,
         arity_op={**state.arity_op, op_id: arity},
         in_op={**state.in_op, op_id: frozenset(positions)},
         hats={**state.hats, op_id: dict.fromkeys(positions, op_id)},
         hook_op=state.hook_op,
-        g_hook_op=state.g_hook_op,
+        members=state.members,
     )
-    # no member moves, so the members map carries over, if state has one
-    if "_members" in state.__dict__:
-        new_state.__dict__["_members"] = state._members
-    return new_state
 
 
 @dataclass(frozen=True)
@@ -278,10 +264,9 @@ def compose_seq_with_witness(
     input set is read off the relabelled slot map, witness.moved(hat1, hat2).
 
     Cost: the Python work is O(component): the guards, the new input
-    sets, op1's new row, built from the rows of op1 and op2, and the
-    new members map, derived from the old one by replacing the entries
-    of op1 and op2.  Building the new state also copies in_op, the hook
-    maps and the outer dicts of hats and of the members map, in C.
+    sets and op1's new hats and members rows, each built from the rows
+    of op1 and op2.  Building the new state also copies in_op, hook_op
+    and the outer dicts of hats and members, in C.
     """
     if op1 == op2:
         raise GuardFailed("op-distinct", f"cannot compose {op1!r} with itself")
@@ -289,12 +274,12 @@ def compose_seq_with_witness(
         raise GuardFailed("rg20", f"unknown operad {op1!r}")
     if op2 not in state.in_op:
         raise GuardFailed("rg22", f"unknown operad {op2!r}")
-    if op1 in state.g_hook_op:
+    if op1 in state.hook_op:
         raise GuardFailed("rg26", f"{op1!r} is grafted inside a composite and cannot be a target")
-    if op2 in state.g_hook_op:
+    if op2 in state.hook_op:
         raise GuardFailed("rg24", f"{op2!r} is grafted inside a composite and cannot be grafted again")
 
-    members = state._members
+    members = state.members
     hooked1 = frozenset([op1, *members.get(op1, ())])
     hooked2 = frozenset([op2, *members.get(op2, ())])
     # the rows are shared between states, read-only
@@ -322,6 +307,9 @@ def compose_seq_with_witness(
     row.update(hats)
     new_hats = {**state.hats, op1: row}
     del new_hats[op2]
+    # op1's members row is built from the two rows, not from hooked2, so its order never depends on the hash seed
+    new_members = {**members, op1: {**members.get(op1, {}), op2: None, **members.get(op2, {})}}
+    new_members.pop(op2, None)
 
     new_state = FlatState(
         config=state.config,
@@ -329,11 +317,8 @@ def compose_seq_with_witness(
         in_op=in_op,
         hats=new_hats,
         hook_op={**state.hook_op, op2: hat_op_ii},
-        g_hook_op={**state.g_hook_op, **dict.fromkeys(hooked2, op1)},
+        members=new_members,
     )
-    new_members = {**members, op1: {**members.get(op1, {}), **dict.fromkeys(hooked2)}}
-    new_members.pop(op2, None)
-    new_state.__dict__["_members"] = new_members
     return new_state, witness
 
 
@@ -352,20 +337,20 @@ def apply_event(state: FlatState, event: Event) -> FlatState:
 
 def roots(state: FlatState) -> tuple[OperadId, ...]:
     """Operads not grafted anywhere, sorted; each roots one composite."""
-    return tuple(sorted(state.arity_op.keys() - state.g_hook_op.keys()))
+    return tuple(sorted(state.arity_op.keys() - state.hook_op.keys()))
 
 
 def _require_root(state: FlatState, root: OperadId) -> None:
     if root not in state.my_operads:
         raise BoundsError(f"unknown operad {root!r}")
-    if root in state.g_hook_op:
+    if root in state.hook_op:
         raise BoundsError(f"{root!r} is grafted inside a composite, not a root")
 
 
 def component_of(state: FlatState, root: OperadId) -> frozenset[OperadId]:
     """The root together with every member grafted below it."""
     _require_root(state, root)
-    return frozenset([root, *state._members.get(root, ())])
+    return frozenset([root, *state.members.get(root, ())])
 
 
 def foliage_of(state: FlatState, root: OperadId) -> tuple[Position, ...]:
@@ -404,14 +389,15 @@ def check_invariants(state: FlatState | Sections) -> list[str]:
     This defines a well-formed state: load_state and load_decorated
     reject a dump's Sections record with any label, and compose assumes
     there is none.  It labels a raw record as it is, by attribute name;
-    on a FlatState, inv60, SP1 and inv30's key half hold by construction.
-    Typing invariants (inv*, invr*) bound the relations as the creation
-    guards do and type them by my_operads: every arity follows Config's
-    arity rule, each root's foliage positions are exactly 1..n for its
-    n slots, arity_op and in_op are keyed by exactly the operads,
-    out_op is {1} on exactly the roots, hook_op and g_hook_op share
-    their keys, and a member shares its parent's root.  Each structural
-    one holds for the whole state at once:
+    on a FlatState, SP1 and inv30's key half hold by construction, and
+    inv60 holds whenever invr40 does.  Typing invariants (inv*, invr*)
+    bound the relations as the creation guards do and type them by
+    my_operads: every arity follows Config's arity rule, each root's
+    foliage positions are exactly 1..n for its n slots, arity_op and
+    in_op are keyed by exactly the operads, out_op is {1} on exactly
+    the roots, hook_op and g_hook_op share their keys, the members rows
+    are not empty and list each member once, and a member shares its
+    parent's root.  Each structural one holds for the whole state at once:
 
       SP1  every open slot has one hat: root by root, the row's keys are the foliage
       SP2  each input set is exactly the slots its member owns: each hat
@@ -432,6 +418,7 @@ def check_invariants(state: FlatState | Sections) -> list[str]:
     arity_op = state.arity_op
     hats = state.hats
     fol_rows = state._foliage_rows
+    members = state.members
     g_hook_op = state.g_hook_op
 
     if not ids_ok:
@@ -452,7 +439,10 @@ def check_invariants(state: FlatState | Sections) -> list[str]:
         bad.append("invr20")
     if not (
         ops >= g_hook_op.keys()
-        and ops >= state._members.keys()
+        and ops >= members.keys()
+        and all(members.values())
+        # g_hook_op keeps one root per member, so a member listed in two rows makes the counts differ
+        and sum(map(len, members.values())) == len(g_hook_op)
         and state.hook_op.keys() == g_hook_op.keys()
         and all(g_hook_op.get(parent, parent) == g_hook_op[m] for m, parent in state.hook_op.items())
     ):

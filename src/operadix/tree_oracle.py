@@ -153,19 +153,17 @@ def compare_with_flat(state: FlatState, root: OperadId, tree: TreeOperad) -> lis
 
     Empty result means the flat relations restricted to root's
     component agree exactly with the relations recomputed from the
-    tree.  The component is read from g_hook_op, so comparing members
-    also checks that every grafted member maps to the root.  A member
-    with no in_op or arity_op entry shows up as an in or arity
-    mismatch.
+    tree.  The component is read from root's members row, so comparing
+    members also checks that every grafted member is listed under the
+    root.  A member with no in_op or arity_op entry shows up as an in
+    or arity mismatch.
 
     Cost: O(component) per root.  The tree is walked once in its
     lifetime (the walk is cached on it), the machine side is read
-    from root's row and the state's members map, and each member costs
-    one lookup in in_op, hook_op and arity_op.  The members map is
-    built at most once per state, in O(state), and shared by every root
-    compared against it.  To check a whole state against all its
-    mirrors, MirrorForest.agrees_with is cheaper; this comparison then
-    only explains a mismatch, root by root.
+    from root's hats and members rows, and each member costs one
+    lookup in in_op, hook_op and arity_op.  To check a whole state
+    against all its mirrors, MirrorForest.agrees_with is cheaper; this
+    comparison then only explains a mismatch, root by root.
     """
     problems: list[str] = []
     view, arities = tree._walked
@@ -210,12 +208,13 @@ class MirrorForest:
     The other attributes are the union of the trees' cached flat views,
     in the machine's vocabulary: arity_op and in_op on every node,
     hats with each tree's cached hat_map as its root's row, shared and
-    read-only, and hook_op and g_hook_op on every grafted node.  Labels
-    never repeat across the trees, so the union is disjoint and each
-    tree's view is its slice.
+    read-only, hook_op on every grafted node, and members with a row of
+    its grafted nodes for each tree that has one.  Labels never repeat
+    across the trees, so the union is disjoint and each tree's view is
+    its slice.
 
     Cost: new and graft are O(component).  Grafting keeps every label,
-    so graft drops only op2's row and writes the grafted tree's
+    so graft drops only op2's rows and writes the grafted tree's
     entries over the old ones.  agrees_with is one == per relation.
     """
 
@@ -225,7 +224,7 @@ class MirrorForest:
         self.in_op: dict[OperadId, frozenset[Position]] = {}
         self.hats: dict[OperadId, dict[Position, OperadId]] = {}
         self.hook_op: dict[OperadId, OperadId] = {}
-        self.g_hook_op: dict[OperadId, OperadId] = {}
+        self.members: dict[OperadId, dict[OperadId, None]] = {}
 
     def new(self, label: OperadId, arity: int) -> None:
         """Add the elementary tree of label as a new root."""
@@ -238,6 +237,7 @@ class MirrorForest:
         # grafted first: a graft that raises leaves the forest unchanged
         grafted = graft(self.trees[op1], ii, self.trees[op2])
         del self.trees[op2], self.hats[op2]
+        self.members.pop(op2, None)
         self._add(grafted)
 
     def _add(self, tree: TreeOperad) -> None:
@@ -248,7 +248,8 @@ class MirrorForest:
         self.in_op.update(view.in_map)
         self.hats[root] = view.hat_map
         self.hook_op.update(view.hook_map)
-        self.g_hook_op.update(dict.fromkeys(view.hook_map, root))
+        if view.hook_map:
+            self.members[root] = dict.fromkeys(view.hook_map)
 
     def agrees_with(self, state: FlatState) -> bool:
         """Whether every stored relation of state equals the forest's.
@@ -263,5 +264,5 @@ class MirrorForest:
             and state.in_op == self.in_op
             and state.hats == self.hats
             and state.hook_op == self.hook_op
-            and state.g_hook_op == self.g_hook_op
+            and state.members == self.members
         )

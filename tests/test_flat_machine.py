@@ -1,6 +1,6 @@
 """Create/compose events, their guards, relabelling, and the invariant checker."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,19 +17,25 @@ from operadix import (
     component_of,
     compose_seq,
     compose_seq_with_witness,
+    compose_seq_x,
     composition_law_violations,
+    dump_decorated,
     dump_state,
+    empty_decorated,
     empty_state,
     foliage_of,
     hat_map_of,
     hook_map_of,
     in_map_of,
+    load_decorated,
     load_state,
     new_operad,
+    new_operad_x,
     parse_trace,
     replay,
     roots,
 )
+from operadix.flat_machine import FlatState, _rows
 from operadix.serialize import _read_state
 
 
@@ -75,9 +81,9 @@ def test_new_operad_shape():
 
 
 def test_views_are_not_fields():
-    # my_operads, foliage and out_op are views of the stored relations
+    # my_operads, foliage, out_op and g_hook_op are views of the stored relations
     s = new_operad(empty_state(), "f", 2)
-    for view in ("my_operads", "foliage", "out_op"):
+    for view in ("my_operads", "foliage", "out_op", "g_hook_op"):
         with pytest.raises(TypeError):
             replace(s, **{view: getattr(s, view)})
     assert s.my_operads == s.arity_op.keys() and s.foliage == {(1, "f"), (2, "f")}
@@ -262,8 +268,8 @@ def ill_formed_states():
         "no_inputs": (replace(s, in_op={k: v for k, v in s.in_op.items() if k != "g"}), ["invr10", "SP2", "SP3"]),
         "drained": (replace(s, in_op={**s.in_op, "g": frozenset()}), ["SP2", "SP3"]),
         # a member with no in_op entry, under either root
-        "orphan": (replace(two, g_hook_op={"zz": "g"}), ["invr40"]),
-        "orphan_under_f": (replace(two, g_hook_op={"zz": "f"}), ["invr40"]),
+        "orphan": (replace(two, members={"g": {"zz": None}}), ["invr40"]),
+        "orphan_under_f": (replace(two, members={"f": {"zz": None}}), ["invr40"]),
         # 50 slots past max_fol = 48, and two operads past max_oprd = 1
         "merged": (merged, ["inv10", "inv40"]),
     }
@@ -315,16 +321,57 @@ def test_compose_drops_hats_keyed_to_the_grafted_root():
     assert s.foliage == {(p, "f") for p in (1, 2, 3, 4)}
 
 
-def test_replace_derives_a_fresh_index(quadratic_pair):
+def test_replace_sets_fresh_rows(quadratic_pair):
     s = quadratic_pair
-    assert component_of(s, "f") == {"f", "g"}  # the members map of s is now built
-    assert replace(s) == s and "_members" not in repr(s) and "_members" not in vars(replace(s))
-    shrunk = replace(s, hats={"f": {1: "f", 2: "g"}}, g_hook_op={})
-    assert shrunk.hats == {"f": {1: "f", 2: "g"}} and shrunk._members == {}
+    assert component_of(s, "f") == {"f", "g"}
+    assert replace(s) == s
+    shrunk = replace(s, hats={"f": {1: "f", 2: "g"}}, members={})
+    assert shrunk.hats == {"f": {1: "f", 2: "g"}} and shrunk.g_hook_op == {}
     assert foliage_of(shrunk, "f") == (1, 2)
     assert hat_map_of(shrunk, "f") == {1: "f", 2: "g"}
     assert component_of(shrunk, "f") == {"f"}
-    assert s._members == {"f": {"g": None}} and foliage_of(s, "f") == (1, 2, 3, 4, 5)
+    assert s.members == {"f": {"g": None}} and foliage_of(s, "f") == (1, 2, 3, 4, 5)
+
+
+FIELDS = {"config", "arity_op", "in_op", "hats", "hook_op", "members"}
+
+
+def test_states_cache_nothing(nested_triple):
+    # the six fields are all a state holds, however it was built
+    assert {f.name for f in fields(FlatState)} == FIELDS
+    d = empty_decorated()
+    for op, arity in (("f", 4), ("g", 3), ("h", 3)):
+        d = new_operad_x(d, op, arity)
+    d = compose_seq_x(compose_seq_x(d, "f", 2, "g"), "f", 4, "h")
+    built = [
+        nested_triple,
+        d.base,
+        load_state(dump_state(nested_triple)),
+        load_decorated(dump_decorated(d)).base,
+        replace(nested_triple, members=dict(nested_triple.members)),
+    ]
+    for state in built:
+        # the check and the queries read the rows and leave nothing on the state
+        assert state == nested_triple and check_invariants(state) == []
+        assert component_of(state, "f") == {"f", "g", "h"}
+        assert vars(state).keys() == FIELDS
+
+
+def test_members_rows_are_not_empty_and_list_each_member_once(nested_triple):
+    # the g_hook_op view keeps one root per member, so a dump cannot show
+    # a member under two roots or an empty row: only the check sees them
+    s = new_operad(nested_triple, "k", 1)
+    twice = replace(s, members={"k": {"g": None}, **s.members})
+    empty = replace(s, members={**s.members, "k": {}})
+    for bad in (twice, empty):
+        assert check_invariants(bad) == ["invr40"]
+        assert dump_state(bad) == dump_state(s)
+
+
+def test_record_members_are_the_ghook_section_in_rows(nested_triple):
+    record = sections(nested_triple)
+    assert record.members == _rows(record.g_hook_op.items()) == {"f": {"g": None, "h": None}}
+    assert record.to_state() == nested_triple and record.to_state().members is record.members
 
 
 def test_hat_map_of_returns_a_copy(quadratic_pair):

@@ -9,7 +9,7 @@ iterates no unordered container, so the cases are the same on every
 run.
 
 The same traces and mutations also check the per-root queries, which
-read the state's rows and members map, against scan-based reference
+read the state's hats and members rows, against scan-based reference
 definitions kept here, and the mirror forest, which must agree with
 exactly the states the events reach.
 """
@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from hypothesis import given, settings, strategies as st
 
 from operadix import (
     BoundsError,
     ComposeSeq,
-    Config,
     GuardFailed,
     NewOperad,
     SimConfig,
@@ -62,7 +61,8 @@ RELATIONS = (
     "hook_op",
     "g_hook_op",
 )
-STORED = ("arity_op", "in_op", "hats", "hook_op", "g_hook_op")
+# the sections a FlatState stores, each with the field that stores it
+STORED = {"arity_op": "arity_op", "in_op": "in_op", "hats": "hats", "hook_op": "hook_op", "g_hook_op": "members"}
 
 
 def sections(state):
@@ -180,13 +180,15 @@ def test_every_corpus_mutation_is_flagged():
 
 
 def test_forest_agrees_with_exactly_the_reachable_states():
-    # a FlatState stores five relations; the three views have no edit of their own
+    # a FlatState stores five relations, the ghook section as members rows;
+    # the three other views have no edit of their own
     agreed = Counter()
     for state, forest, _, bad, description in corpus_mutations():
         assert forest.agrees_with(state)
         name = description.split()[0]
         if name in STORED:
-            edited = replace(state, **{name: getattr(bad, name)})
+            field = STORED[name]
+            edited = replace(state, **{field: getattr(bad, field)})
             assert forest.agrees_with(edited) == (edited == state), description
             agreed[forest.agrees_with(edited)] += 1
     assert agreed == {False: 789, True: 24}
@@ -255,21 +257,10 @@ def plan_states(plan):
         yield state, forest
 
 
-def index_carried(state):
-    """Whether an event carried a members map into state; if so, it must equal the derived one."""
-    carried = vars(state).get("_members")
-    if carried is None:
-        return False
-    assert carried == replace(state)._members
-    return True
-
-
 @settings(max_examples=60, deadline=None)
 @given(plan=event_plans)
 def test_event_traces_stay_clean(plan):
-    for step, (state, forest) in enumerate(plan_states(plan)):
-        # check_invariants caches a members map on each state, so every later event carries one
-        assert index_carried(state) == (step > 0)
+    for state, forest in plan_states(plan):
         assert check_invariants(state) == []
         for root in sorted(forest.trees):
             assert compare_with_flat(state, root, forest.trees[root]) == []
@@ -279,27 +270,16 @@ def test_event_traces_stay_clean(plan):
 @settings(max_examples=60, deadline=None)
 @given(plan=event_plans)
 def test_load_state_hands_over_the_checked_index(plan):
-    # load_state builds the state from the record it checked, with that record's members map
+    # load_state builds the state from the record it checked: the members
+    # rows are the ones the check read, and nothing else rides along
     for state, _ in plan_states(plan):
+        record = sections(state)
+        assert check_invariants(record) == []
+        rebuilt = record.to_state()
+        assert rebuilt.members is record.members
         loaded = load_state(dump_state(state), state.config)
-        assert loaded == state
-        assert index_carried(loaded)
-
-
-def test_events_carry_the_index():
-    # an event carries the members map when its state has one, and compose
-    # reads its state's map: so from the first compose of a segment on,
-    # every state carries one
-    assert Counter(index_carried(state) for state, _ in reachable_pairs()) == {True: 130, False: 32}
-    config = Config(max_oprd=128, max_fol=768)
-    state, composed = empty_state(config), False
-    for event in run(SimConfig(seed=5, max_steps=2000, config=config)).trace:
-        if isinstance(event, TraceReset):
-            state, composed = empty_state(config), False
-            continue
-        state = apply_event(state, event)
-        composed = composed or isinstance(event, ComposeSeq)
-        assert index_carried(state) == composed
+        assert loaded == state == rebuilt
+        assert vars(loaded).keys() == vars(state).keys() == {f.name for f in fields(state)}
 
 
 # Scan-based reference definitions of the per-root queries: each reads
@@ -307,7 +287,7 @@ def test_events_carry_the_index():
 
 
 def ref_require_root(state, root):
-    if root not in state.my_operads or root in state.g_hook_op:
+    if root not in state.my_operads or root in state.hook_op:
         raise BoundsError(f"{root!r} is not a root")
 
 

@@ -290,7 +290,7 @@ def state_of(forest, config):
         in_op=dict(forest.in_op),
         hats=dict(forest.hats),
         hook_op=dict(forest.hook_op),
-        g_hook_op=dict(forest.g_hook_op),
+        members=dict(forest.members),
     )
 
 

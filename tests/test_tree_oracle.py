@@ -97,7 +97,7 @@ def test_a_failed_forest_graft_changes_nothing():
     for label, arity in (("f", 2), ("g", 2), ("h", 3)):
         forest.new(label, arity)
     forest.graft("f", 1, "g")
-    relations = ("arity_op", "in_op", "hats", "hook_op", "g_hook_op")
+    relations = ("arity_op", "in_op", "hats", "hook_op", "members")
     before = {name: repr(getattr(forest, name)) for name in ("trees", *relations)}
     for ii in (0, 4):  # f's composite has leaves 1..3
         with pytest.raises(BoundsError):
@@ -192,11 +192,12 @@ def test_comparison_reports_wrong_root():
 
 
 def test_component_map_sends_members_to_their_root():
-    # g_hook_op holds the root only, not the full ancestor closure:
-    # h sits below g, yet maps straight to f
+    # the members rows, and so g_hook_op, hold the root only, not the full
+    # ancestor closure: h sits below g, yet is listed straight under f
     s = machine_nested_state()
     assert derive_flat_view(nested_tree()).hook_map == {"g": "f", "h": "g"}
     assert s.hook_op == {"g": "f", "h": "g"}
+    assert s.members == {"f": {"g": None, "h": None}}
     assert s.g_hook_op == {"g": "f", "h": "f"}
     assert component_of(s, "f") == {"f", "g", "h"}
 
@@ -220,7 +221,7 @@ PINNED_MISMATCHES = {
         ],
     ),
     "members": (
-        lambda s: replace(s, g_hook_op={**s.g_hook_op, "k": "f"}),
+        lambda s: replace(s, members={"f": {**s.members["f"], "k": None}}),
         nested_tree,
         ["members: machine ['f', 'g', 'h', 'k'] != tree ['f', 'g', 'h']"],
     ),
@@ -251,9 +252,9 @@ PINNED_MISMATCHES = {
         nested_tree,
         ["arity: machine says 'g' has 2, tree says 3"],
     ),
-    # a member hooked to a non-root drops out of the root's component
+    # a member listed under a non-root drops out of the root's component
     "ghook": (
-        lambda s: replace(s, g_hook_op={"g": "f", "h": "g"}),
+        lambda s: replace(s, members={"f": {"g": None}, "g": {"h": None}}),
         nested_tree,
         ["members: machine ['f', 'g'] != tree ['f', 'g', 'h']"],
     ),
@@ -268,8 +269,9 @@ def test_comparison_messages_are_pinned(case):
 
 def test_comparison_rejects_grafted_root():
     s = machine_nested_state()
+    grafted = replace(s, hook_op={**s.hook_op, "f": "g"}, members={**s.members, "g": {"f": None}})
     with pytest.raises(BoundsError):
-        compare_with_flat(replace(s, g_hook_op={**s.g_hook_op, "f": "g"}), "f", nested_tree())
+        compare_with_flat(grafted, "f", nested_tree())
 
 
 def test_comparison_reports_missing_input_entry():
