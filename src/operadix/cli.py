@@ -229,7 +229,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--steps", type=_int, default=1000)
     p.add_argument("--oracle-every", type=_int, default=0,
-                   help="cross-check against mirror trees every N fired events")
+                   help="report mismatches with the mirror trees root by root every N fired events")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("axioms", parents=[common], help="exhaustive axiom sweeps on finite functions")

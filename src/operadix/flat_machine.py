@@ -393,7 +393,7 @@ def check_invariants(state: FlatState | Sections) -> list[str]:
     inv60 holds whenever invr40 does.  Typing invariants (inv*, invr*)
     bound the relations as the creation guards do and type them by
     my_operads: every arity follows Config's arity rule, each root's
-    foliage positions are exactly 1..n for its n slots, arity_op and
+    foliage positions are exactly 1..n for its n > 0 slots, arity_op and
     in_op are keyed by exactly the operads, out_op is {1} on exactly
     the roots, hook_op and g_hook_op share their keys, the members rows
     are not empty and list each member once, and a member shares its
@@ -409,7 +409,7 @@ def check_invariants(state: FlatState | Sections) -> list[str]:
     in f = {1,3}, in g = {2,4} and the hats to match.  Cost: O(state),
     in Python passes over the ids, the hats, the operads and hook_op.
     A state that a MirrorForest agrees with meets every rule here but
-    the bounds, so the simulator then checks only _within_bounds.
+    the bounds, so the simulator calls this only to name a failure.
     """
     ids_ok, arities_ok, fol_ok = _within_bounds(state)
     bad: list[str] = []
@@ -428,7 +428,7 @@ def check_invariants(state: FlatState | Sections) -> list[str]:
     if not (
         fol_ok
         and ops >= fol_rows.keys()
-        and all(row.keys() == set(range(1, len(row) + 1)) for row in fol_rows.values())
+        and all(row and row.keys() == set(range(1, len(row) + 1)) for row in fol_rows.values())
     ):
         bad.append("inv40")
     if state.out_op != dict.fromkeys(ops - g_hook_op.keys(), frozenset({1})):

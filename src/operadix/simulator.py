@@ -1,19 +1,17 @@
 """Randomized exploration of the grafting machine.
 
 The simulator fires random create and compose events against one
-machine state, checks every invariant after every fired event, and can
-mirror the whole run on the tree side to cross-check the two
-representations.  The mirrors live in one MirrorForest, updated in
-O(component) per event; an oracle check is one equality per relation
-between the state and the forest, and only when it fails are the roots
-compared one by one with compare_with_flat, whose labels the report
-carries.  On an event the oracle checks, that equality also gives the
-invariant verdict: a state the forest agrees with and within the bounds
-breaks no invariant, so check_invariants runs only to name the labels
-of a failure.  A run is fully determined by its SimConfig: the sampler
-draws from a seeded Mersenne Twister and never iterates an unordered
-container, so the same config always produces the same report, byte
-for byte.
+machine state and mirrors every fired event on the tree side, in one
+MirrorForest updated in O(component) per event.  The forest's
+agreement with the state, one equality per relation, gives every
+event's invariant verdict: a state the forest agrees with and within
+the bounds breaks no invariant, so check_invariants runs only to name
+the labels of a failure.  Every oracle_check_every-th event counts as
+an oracle check, and there a disagreement is explained root by root
+with compare_with_flat, whose labels the report carries.  A run is
+fully determined by its SimConfig: the sampler draws from a seeded
+Mersenne Twister and never iterates an unordered container, so the
+same config always produces the same report, byte for byte.
 
 When no event can fire on the current state, the state is recorded
 and reset, and exploration continues from scratch; the count
@@ -105,12 +103,17 @@ def _verdict(state: FlatState, agrees: bool) -> list[str]:
 
 
 def run(sim: SimConfig) -> SimReport:
+    """Fire sim.max_steps random events and check the state after each.
+
+    A forest update that raises ends the run with no report.  The trees
+    mirror the fired events, so only a machine that accepts an event
+    they reject, which takes a corrupted compose, gets there.
+    """
     started = time.perf_counter()
     rng = random.Random(sim.seed)
     cfg = sim.config
     state = empty_state(cfg)
     forest = MirrorForest()
-    track_mirrors = sim.oracle_check_every > 0
 
     fired: dict[str, int] = {}
     guard_failures: dict[str, int] = {}
@@ -150,9 +153,11 @@ def run(sim: SimConfig) -> SimReport:
         try:
             if isinstance(event, NewOperad):
                 state = new_operad(state, event.op_id, event.arity, event.outs)
+                forest.new(event.op_id, event.arity)
                 next_id += 1
             else:
                 state, witness = compose_seq_with_witness(state, event.op1, event.pos, event.op2)
+                forest.graft(event.op1, event.pos, event.op2)
         except GuardFailed as exc:
             guard_failures[exc.label] = guard_failures.get(exc.label, 0) + 1
             continue
@@ -161,13 +166,8 @@ def run(sim: SimConfig) -> SimReport:
         fired[name] = fired.get(name, 0) + 1
         trace.append(event)
 
-        if track_mirrors:
-            if isinstance(event, NewOperad):
-                forest.new(event.op_id, event.arity)
-            else:
-                forest.graft(event.op1, event.pos, event.op2)
-        checked = track_mirrors and fired_count % sim.oracle_check_every == 0
-        agrees = checked and forest.agrees_with(state)
+        checked = sim.oracle_check_every > 0 and fired_count % sim.oracle_check_every == 0
+        agrees = forest.agrees_with(state)
 
         bad = _verdict(state, agrees)
         if bad:

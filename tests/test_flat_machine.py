@@ -406,7 +406,8 @@ def test_invariant_sp2_detects_lost_position(nested_triple):
 
 
 # Each edit changes one section of the dump's raw record and keeps the
-# others as read, so a view's section can disagree with its relation.
+# others as read, so a view's section can disagree with its relation;
+# the last edits a FlatState, whose empty hats row no dump can show.
 @pytest.mark.parametrize(
     "labels,mutate",
     [
@@ -425,6 +426,7 @@ def test_invariant_sp2_detects_lost_position(nested_triple):
         # 4.0 and True equal 4 and 1, so only the arity rule's type test sees them
         (["inv30"], lambda s: replace(sections(s), arity_op={**s.arity_op, "f": 4.0})),
         (["inv30"], lambda s: replace(sections(new_operad(s, "h", 1)), arity_op={**s.arity_op, "h": True})),
+        (["inv40"], lambda s: replace(s, hats={**s.hats, "g": {}})),
     ],
 )
 def test_corrupted_states_report_typing_labels(quadratic_pair, labels, mutate):

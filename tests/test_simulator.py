@@ -233,8 +233,8 @@ def expected_violations(trace, every):
     """The invariant and oracle violations of a run, from its replayed states.
 
     Each fired event's state is replayed from the trace and checked in
-    full by check_invariants, and on every every-th event compared root
-    by root with mirror trees grafted one by one.
+    full by check_invariants, and on every every-th event (none if every
+    is 0) compared root by root with mirror trees grafted one by one.
     """
     expected, mirrors, step = [], {}, 0
     for end, event in enumerate(trace, start=1):
@@ -251,7 +251,7 @@ def expected_violations(trace, every):
         bad = check_invariants(state)
         if bad:
             expected.append((step, "invariant", tuple(bad)))
-        if step % every == 0:
+        if every and step % every == 0:
             for root in sorted(mirrors):
                 problems = compare_with_flat(state, root, mirrors[root])
                 if problems:
@@ -267,7 +267,7 @@ def test_oracle_reports_an_owner_swap_root_by_root(monkeypatch):
     assert [(v.step, v.kind, v.labels) for v in report.violations] == expected_violations(report.trace, 1)
 
 
-@pytest.mark.parametrize("every", [1, 2])
+@pytest.mark.parametrize("every", [0, 1, 2])
 def test_verdict_matches_check_invariants_under_a_dropped_input_set(monkeypatch, every):
     # some composes lose op2's in_op entry; a later compose of its component restores it
     def dropping(state, op1, op2):
@@ -278,8 +278,18 @@ def test_verdict_matches_check_invariants_under_a_dropped_input_set(monkeypatch,
     patch_compose(monkeypatch, dropping)
     report = run(SimConfig(seed=3, max_steps=120, oracle_check_every=every))
     expected = expected_violations(report.trace, every)
-    assert {kind for _, kind, _ in expected} == {"invariant", "oracle"}
+    assert {kind for _, kind, _ in expected} == ({"invariant", "oracle"} if every else {"invariant"})
     assert [(v.step, v.kind, v.labels) for v in report.violations if v.kind != "law"] == expected
+
+
+def test_clean_run_calls_check_invariants_on_no_event(monkeypatch):
+    # the forest gives every verdict, so check_invariants runs only on a failure
+    calls = []
+    check = simulator.check_invariants
+    monkeypatch.setattr(simulator, "check_invariants", lambda state: calls.append(1) or check(state))
+    report = run(SimConfig(seed=3, max_steps=300))
+    assert report.steps == 300 and report.violations == ()
+    assert calls == []
 
 
 def state_of(forest, config):
