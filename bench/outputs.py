@@ -1,4 +1,4 @@
-"""Output equality: the simulator outputs of a parent commit against the working tree's.
+"""Output equality: the simulator and text outputs of a parent commit against the working tree's.
 
     python3 bench/outputs.py --parent HEAD
 
@@ -11,9 +11,19 @@ a fixed matrix: seeds 1-8, ``max_oprd`` 8, 16 and 64 with
 ``max_fol = 6 * max_oprd``, and ``oracle_check_every`` 0, 1 and 3, at
 1,500 steps.  Per config it hashes, with sha256, the report text
 (``format_report``), its JSON (``report_to_json``), the trace
-(``format_trace``) and the deadlock dumps.  It prints one hash per
-config, lists the configs whose hashes differ between the sides, and
-exits 1 if any does.  Standard library only.
+(``format_trace``) and the deadlock dumps.
+
+It also takes the first 400 programs of perfbench's ``text-pipeline``
+generator at seed ``TEXT_SEED``, imported unchanged from ``perfbench/``
+as bench/trajectory.py does, runs each through that workload's request
+and hashes, per block of 50 programs, ``print_program``, ``dump_state``,
+``state_to_json``, ``dump_decorated``, ``decorated_to_json``,
+``check_invariants`` and ``check_gluing``.  None of these shows a
+frozenset's repr, whose order depends on how the set was built.
+
+It prints one hash per config and block, lists those whose hashes
+differ between the sides, and exits 1 if any does.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -32,6 +42,9 @@ SEEDS = tuple(range(1, 9))
 MAX_OPRD = (8, 16, 64)
 ORACLE_EVERY = (0, 1, 3)
 STEPS = 1_500
+TEXT_SEED = 1
+TEXT_PROGRAMS = 400
+TEXT_BLOCK = 50
 HASHER = """\
 import hashlib, json
 from operadix import Config, SimConfig, format_report, format_trace, report_to_json, run
@@ -46,16 +59,41 @@ for seed in {seeds}:
             hashes[f"seed={{seed}} max_oprd={{max_oprd}} oracle_check_every={{every}}"] = digest.hexdigest()
 print(json.dumps(hashes))
 """
+TEXT_HASHER = """\
+import hashlib, itertools, json, sys
+sys.path[:0] = ["src", "perfbench"]
+import operadix as ox
+from workloads import WORKLOADS
+workload = WORKLOADS["text-pipeline"](ox, {seed})
+programs = list(itertools.islice(workload.inputs(), {programs}))
+hashes = {{}}
+for start in range(0, len(programs), {block}):
+    parts = []
+    for program in programs[start:start + {block}]:
+        _, canonical, dump, _, bad, as_json, decorated_dump, reloaded, gluing = workload.request(
+            program, lambda fn, *args: fn(*args)
+        )
+        parts += [canonical, dump, json.dumps(as_json), decorated_dump,
+                  json.dumps(ox.decorated_to_json(reloaded)), repr(bad), repr(gluing)]
+    name = f"text-pipeline seed={seed} programs {{start + 1}}-{{start + {block}}}"
+    hashes[name] = hashlib.sha256("\\0".join(parts).encode()).hexdigest()
+print(json.dumps(hashes))
+"""
 
 
 def output_hashes(checkout: Path) -> dict[str, str]:
-    """One sha256 per config of the matrix, computed on checkout/src in a fresh interpreter."""
+    """One sha256 per config of the matrix and per block of programs, computed on checkout/src in fresh interpreters."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONHASHSEED": "0"}
-    code = HASHER.format(seeds=SEEDS, max_oprd=MAX_OPRD, every=ORACLE_EVERY, steps=STEPS)
-    proc = subprocess.run([sys.executable, "-B", "-c", code], cwd=checkout, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"output run in {checkout} failed:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    hashes: dict[str, str] = {}
+    for code in (
+        HASHER.format(seeds=SEEDS, max_oprd=MAX_OPRD, every=ORACLE_EVERY, steps=STEPS),
+        TEXT_HASHER.format(seed=TEXT_SEED, programs=TEXT_PROGRAMS, block=TEXT_BLOCK),
+    ):
+        proc = subprocess.run([sys.executable, "-B", "-c", code], cwd=checkout, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise SystemExit(f"output run in {checkout} failed:\n{proc.stderr}")
+        hashes.update(json.loads(proc.stdout.strip().splitlines()[-1]))
+    return hashes
 
 
 def main(argv=None) -> int:
@@ -73,7 +111,7 @@ def main(argv=None) -> int:
     differ = [name for name in parent if parent[name] != change.get(name)]
     for name, digest in parent.items():
         print(f"{name}: {digest}" if name not in differ else f"{name}: {digest} != {change.get(name)}")
-    print(f"{len(parent) - len(differ)} of {len(parent)} configs equal")
+    print(f"{len(parent) - len(differ)} of {len(parent)} configs and blocks equal")
     for name in differ:
         print(f"differs: {name}")
     return 1 if differ else 0

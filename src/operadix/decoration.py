@@ -105,7 +105,7 @@ def compose_seq_x(state: DecoratedState, op1: OperadId, ii: Position, op2: Opera
     """Graft op2 into slot ii of op1, transporting decorations.
 
     Slots keep their symbols while the witness's moved() relabels
-    them, exactly as it relabels the base input sets; the symbol of
+    them, exactly as it relabels the base slot map; the symbol of
     the grafting slot itself is consumed.
     """
     base, witness = compose_seq_with_witness(state.base, op1, ii, op2)
@@ -137,18 +137,17 @@ def check_gluing(state: DecoratedState) -> list[str]:
     """
     problems: list[str] = []
     base = state.base
-    for op in sorted(base.in_op):
+    in_op = base.in_op
+    for op in sorted(in_op):
         if op not in state.in_op_x:
             problems.append(f"{op}: no slot decoration")
     for op in sorted(state.in_op_x):
-        if op not in base.in_op:
+        if op not in in_op:
             problems.append(f"{op}: decorated but unknown to the base state")
-    for op in sorted(set(base.in_op) & set(state.in_op_x)):
+    for op in sorted(set(in_op) & set(state.in_op_x)):
         decor = state.in_op_x[op]
-        if set(decor) != set(base.in_op[op]):
-            problems.append(
-                f"{op}: decorated slots {sorted(decor)} != base slots {sorted(base.in_op[op])}"
-            )
+        if set(decor) != set(in_op[op]):
+            problems.append(f"{op}: decorated slots {sorted(decor)} != base slots {sorted(in_op[op])}")
         symbols = list(decor.values())
         if len(set(symbols)) != len(symbols):
             problems.append(f"{op}: slot symbols repeat")

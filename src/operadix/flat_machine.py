@@ -6,22 +6,22 @@ two events (create, compose) rewrite those relations wholesale.  The
 open slots of a composite always carry the contiguous labels 1..n where
 n is its arity; grafting renumbers every affected label.  That
 relabelling rule is written once, in ComposeWitness.moved(): compose
-applies it to the slot map (slot -> owning member) and reads the new
-input sets off the result, and the decoration layer applies it to the
-symbols on the slots.
+applies it to the slot map (slot -> owning member), which the input
+sets are read off, and the decoration layer applies it to the symbols
+on the slots.
 
 Vocabulary, with ``op2`` grafted into slot ``ii`` of the composite
-rooted at ``op1``.  Five relations are stored:
+rooted at ``op1``.  Four relations are stored:
 
   arity_op     arity at creation time; composition never changes it
-  in_op        per member, the slot labels that belong to that member
   hats         root -> its row: each open slot of its composite -> the member owning it
   hook_op      member -> the member it was directly grafted into
   members      root -> its row: each member grafted below it -> None
 
-and four are read-only views of them:
+and five are read-only views of them:
 
   my_operads   every operad created so far, grafted or not: arity_op's keys
+  in_op        per operad, the slot labels it owns: the hats rows inverted
   foliage      the open (position, root) slots of each composite: the rows' keys
   out_op       output positions, always {1}; its domain is the roots
   g_hook_op    member -> the root of its composite: the members rows inverted
@@ -93,17 +93,17 @@ def _rows(pairs: Iterable[tuple[V, OperadId]]) -> dict[OperadId, dict[V, None]]:
 
 @dataclass(frozen=True)
 class FlatState:
-    """A machine state: five stored relations and four read-only views.
+    """A machine state: four stored relations and five read-only views.
 
-    The views are built from the relations, out_op in arity_op's order
-    on the operads with no hook_op entry, so SP1 and the key half of
-    inv30 hold by construction, and inv60 holds whenever invr40 does.
-    Only a root with a grafted member has a members row.
+    The views are built from the relations, in_op and out_op in
+    arity_op's order, so SP1, invr10 and the key half of inv30 hold by
+    construction, SP2's set halves hold whenever invr20 and its root
+    half do, and inv60 holds whenever invr40 does.  Only a root with a
+    grafted member has a members row.
     """
 
     config: Config
     arity_op: dict[OperadId, int]
-    in_op: dict[OperadId, frozenset[Position]]
     hats: dict[OperadId, dict[Position, OperadId]]
     hook_op: dict[OperadId, OperadId]
     members: dict[OperadId, dict[OperadId, None]]
@@ -111,6 +111,17 @@ class FlatState:
     @property
     def my_operads(self) -> Set[OperadId]:
         return self.arity_op.keys()
+
+    @property
+    def in_op(self) -> dict[OperadId, frozenset[Position]]:
+        """Built from the hats rows on every read; an owner that is not an operad is skipped."""
+        owned: dict[OperadId, list[Position]] = {op: [] for op in self.arity_op}
+        for row in self.hats.values():
+            for p, m in row.items():
+                slots = owned.get(m)
+                if slots is not None:
+                    slots.append(p)
+        return {op: frozenset(slots) for op, slots in owned.items()}
 
     @property
     def foliage(self) -> Set[tuple[Position, OperadId]]:
@@ -137,8 +148,8 @@ class Sections:
     """The eight sections of a dump as read, before any check.
 
     Unlike a FlatState, a record may disagree with itself: its
-    my_operads, foliage, out_op and g_hook_op are read from their own
-    sections, so check_invariants can label a dump as it is.  Its hats
+    my_operads, in_op, foliage, out_op and g_hook_op are read from their
+    own sections, so check_invariants can label a dump as it is.  Its hats
     are read into rows, one per root, in line order; its members rows
     are built from g_hook_op.  check, export and the loaders read dumps
     into it; dump_state and state_to_json take it too.
@@ -167,28 +178,25 @@ class Sections:
     def to_state(self) -> FlatState:
         """The FlatState of a record that check_invariants passes.
 
-        By inv30, inv60 and SP1 the sections it drops are its views of
-        the rest, and the ghook section goes in as the rows the check built.
+        By inv30, invr10, SP2, inv60 and SP1 the sections it drops are
+        its views of the rest, and the ghook section goes in as the rows
+        the check built.
         """
-        return FlatState(self.config, self.arity_op, self.in_op, self.hats, self.hook_op, self.members)
+        return FlatState(self.config, self.arity_op, self.hats, self.hook_op, self.members)
 
 
 def empty_state(config: Config | None = None) -> FlatState:
-    return FlatState(
-        config=config or Config(),
-        arity_op={},
-        in_op={},
-        hats={},
-        hook_op={},
-        members={},
-    )
+    return FlatState(config or Config(), arity_op={}, hats={}, hook_op={}, members={})
 
 
 def new_operad(state: FlatState, op_id: OperadId, arity: int, outs: int = 1) -> FlatState:
     """Add an elementary operad with slots 1..arity, all open.
 
     The arity must pass the arity rule of Config (g4) and outs must be
-    the int 1 (g6): every operad gets the single output {1}.
+    the int 1 (g6): every operad gets the single output {1}.  The
+    precondition is compose's, check_invariants(state) == []; then the
+    foliage, at most the arity sum, stays within max_oprd * max_args,
+    which Config keeps at or below max_fol, so no guard counts it.
     """
     cfg = state.config
     if not is_operad_id(op_id):
@@ -201,14 +209,10 @@ def new_operad(state: FlatState, op_id: OperadId, arity: int, outs: int = 1) -> 
         raise GuardFailed("g4", f"arity must be in 1..{cfg.max_args}, got {arity}")
     if type(outs) is not int or outs != 1:
         raise GuardFailed("g6", f"output count must be 1, got {outs}")
-    cardfol = sum(map(len, state.hats.values()))
-    if cardfol + arity > cfg.max_fol:
-        raise GuardFailed("g28", f"foliage would grow to {cardfol + arity}, past max_fol = {cfg.max_fol}")
     positions = range(1, arity + 1)
     return FlatState(
         config=cfg,
         arity_op={**state.arity_op, op_id: arity},
-        in_op={**state.in_op, op_id: frozenset(positions)},
         hats={**state.hats, op_id: dict.fromkeys(positions, op_id)},
         hook_op=state.hook_op,
         members=state.members,
@@ -260,19 +264,19 @@ def compose_seq_with_witness(
 
     Precondition: check_invariants(state) == [], which every state built
     by events or returned by a loader meets; a state built with
-    dataclasses.replace is the caller's to check.  Each member's new
-    input set is read off the relabelled slot map, witness.moved(hat1, hat2).
+    dataclasses.replace is the caller's to check.  op1's new row holds
+    the relabelled slot map, witness.moved(hat1, hat2).
 
-    Cost: the Python work is O(component): the guards, the new input
-    sets and op1's new hats and members rows, each built from the rows
-    of op1 and op2.  Building the new state also copies in_op, hook_op
-    and the outer dicts of hats and members, in C.
+    Cost: the Python work is O(component): the guards and op1's new
+    hats and members rows, each built from the rows of op1 and op2.
+    Building the new state also copies hook_op and the outer dicts of
+    hats and members, in C.
     """
     if op1 == op2:
         raise GuardFailed("op-distinct", f"cannot compose {op1!r} with itself")
-    if op1 not in state.in_op:
+    if op1 not in state.arity_op:
         raise GuardFailed("rg20", f"unknown operad {op1!r}")
-    if op2 not in state.in_op:
+    if op2 not in state.arity_op:
         raise GuardFailed("rg22", f"unknown operad {op2!r}")
     if op1 in state.hook_op:
         raise GuardFailed("rg26", f"{op1!r} is grafted inside a composite and cannot be a target")
@@ -292,19 +296,10 @@ def compose_seq_with_witness(
     cardfol2 = len(hat2)
     witness = ComposeWitness(op1, op2, ii, cardfol1, cardfol2, hooked1, hooked2)
 
-    hats = witness.moved(hat1, hat2)
-    component = hooked1 | hooked2
-    owned: dict[OperadId, list[Position]] = {oo: [] for oo in component}
-    for p, oo in hats.items():
-        owned[oo].append(p)
-    in_op = dict(state.in_op)
-    for oo, slots in owned.items():
-        in_op[oo] = frozenset(slots)
-
-    # op1's row drops op1's own slots (its input set, by SP2); its other members'
+    # op1's row drops the slots op1 owns (its input set, by SP2); its other members'
     # slots keep their place, with new owners, and the rest follow in moved() order
-    row = dict.fromkeys(p for p in hat1 if p not in state.in_op[op1])
-    row.update(hats)
+    row = dict.fromkeys(p for p, m in hat1.items() if m != op1)
+    row.update(witness.moved(hat1, hat2))
     new_hats = {**state.hats, op1: row}
     del new_hats[op2]
     # op1's members row is built from the two rows, not from hooked2, so its order never depends on the hash seed
@@ -314,7 +309,6 @@ def compose_seq_with_witness(
     new_state = FlatState(
         config=state.config,
         arity_op=state.arity_op,
-        in_op=in_op,
         hats=new_hats,
         hook_op={**state.hook_op, op2: hat_op_ii},
         members=new_members,
@@ -365,7 +359,8 @@ def hat_map_of(state: FlatState, root: OperadId) -> dict[Position, OperadId]:
 
 
 def in_map_of(state: FlatState, root: OperadId) -> dict[OperadId, frozenset[Position]]:
-    return {oo: state.in_op[oo] for oo in sorted(component_of(state, root))}
+    in_op = state.in_op
+    return {oo: in_op[oo] for oo in sorted(component_of(state, root))}
 
 
 def hook_map_of(state: FlatState, root: OperadId) -> dict[OperadId, OperadId]:
@@ -389,15 +384,17 @@ def check_invariants(state: FlatState | Sections) -> list[str]:
     This defines a well-formed state: load_state and load_decorated
     reject a dump's Sections record with any label, and compose assumes
     there is none.  It labels a raw record as it is, by attribute name;
-    on a FlatState, SP1 and inv30's key half hold by construction, and
-    inv60 holds whenever invr40 does.  Typing invariants (inv*, invr*)
-    bound the relations as the creation guards do and type them by
-    my_operads: every arity follows Config's arity rule, each root's
-    foliage positions are exactly 1..n for its n > 0 slots, arity_op and
-    in_op are keyed by exactly the operads, out_op is {1} on exactly
-    the roots, hook_op and g_hook_op share their keys, the members rows
-    are not empty and list each member once, and a member shares its
-    parent's root.  Each structural one holds for the whole state at once:
+    on a FlatState, whose in_op and out_op are views, SP1, invr10 and
+    inv30's key half hold by construction, SP2's set halves hold
+    whenever invr20 and its root half do, and inv60 holds whenever
+    invr40 does.  Typing invariants (inv*, invr*) bound the relations
+    as the creation guards do and type them by my_operads: every arity
+    follows Config's arity rule, each root's foliage positions are
+    exactly 1..n for its n > 0 slots, arity_op and in_op are keyed by
+    exactly the operads, out_op is {1} on exactly the roots, hook_op and
+    g_hook_op share their keys, the members rows are not empty and list
+    each member once, and a member shares its parent's root.  Each
+    structural one holds for the whole state at once:
 
       SP1  every open slot has one hat: root by root, the row's keys are the foliage
       SP2  each input set is exactly the slots its member owns: each hat
@@ -407,7 +404,8 @@ def check_invariants(state: FlatState | Sections) -> list[str]:
 
     Not exact: a non-planar state passes, such as f:3 o_2 g:2 with
     in f = {1,3}, in g = {2,4} and the hats to match.  Cost: O(state),
-    in Python passes over the ids, the hats, the operads and hook_op.
+    in Python passes over the ids, the hats (twice on a FlatState,
+    once more for the in_op view), the operads and hook_op.
     A state that a MirrorForest agrees with meets every rule here but
     the bounds, so the simulator calls this only to name a failure.
     """

@@ -127,7 +127,6 @@ def run(sim: SimConfig) -> SimReport:
 
     while fired_count < sim.max_steps:
         root_list = roots(state)
-        # g28 cannot fire here: Config makes max_fol >= max_oprd * max_args
         can_create = len(state.arity_op) < cfg.max_oprd
         can_compose = len(root_list) >= 2
         if not (can_create or can_compose):

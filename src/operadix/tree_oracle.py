@@ -158,12 +158,13 @@ def compare_with_flat(state: FlatState, root: OperadId, tree: TreeOperad) -> lis
     root.  A member with no in_op or arity_op entry shows up as an in
     or arity mismatch.
 
-    Cost: O(component) per root.  The tree is walked once in its
-    lifetime (the walk is cached on it), the machine side is read
-    from root's hats and members rows, and each member costs one
-    lookup in in_op, hook_op and arity_op.  To check a whole state
-    against all its mirrors, MirrorForest.agrees_with is cheaper; this
-    comparison then only explains a mismatch, root by root.
+    Cost: O(state) per call on a FlatState, for its in_op view, read
+    once; the rest is O(component).  The tree is walked once in its
+    lifetime (the walk is cached on it), the machine side is read from
+    root's hats and members rows and the in_op view, and each member
+    costs one lookup in in_op, hook_op and arity_op.  To check a whole
+    state against its mirrors, use MirrorForest.agrees_with; this
+    comparison runs only to explain a mismatch, root by root.
     """
     problems: list[str] = []
     view, arities = tree._walked
@@ -181,7 +182,8 @@ def compare_with_flat(state: FlatState, root: OperadId, tree: TreeOperad) -> lis
         problems.append(f"members: machine {members} != tree {sorted(view.in_map)}")
         return problems
 
-    flat_in = {oo: state.in_op[oo] for oo in members if oo in state.in_op}
+    in_op = state.in_op
+    flat_in = {oo: in_op[oo] for oo in members if oo in in_op}
     if flat_in != view.in_map:
         problems.append(f"in: machine {flat_in} != tree {view.in_map}")
 
@@ -206,12 +208,12 @@ class MirrorForest:
 
     trees maps each root to its tree, keyed by the tree's own label.
     The other attributes are the union of the trees' cached flat views,
-    in the machine's vocabulary: arity_op and in_op on every node,
-    hats with each tree's cached hat_map as its root's row, shared and
-    read-only, hook_op on every grafted node, and members with a row of
-    its grafted nodes for each tree that has one.  Labels never repeat
-    across the trees, so the union is disjoint and each tree's view is
-    its slice.
+    in the machine's vocabulary, one per stored relation of a FlatState:
+    arity_op on every node, hats with each tree's cached hat_map as its
+    root's row, shared and read-only, hook_op on every grafted node, and
+    members with a row of its grafted nodes for each tree that has one.
+    Labels never repeat across the trees, so the union is disjoint and
+    each tree's view is its slice.
 
     Cost: new and graft are O(component).  Grafting keeps every label,
     so graft drops only op2's rows and writes the grafted tree's
@@ -221,7 +223,6 @@ class MirrorForest:
     def __init__(self) -> None:
         self.trees: dict[OperadId, TreeOperad] = {}
         self.arity_op: dict[OperadId, int] = {}
-        self.in_op: dict[OperadId, frozenset[Position]] = {}
         self.hats: dict[OperadId, dict[Position, OperadId]] = {}
         self.hook_op: dict[OperadId, OperadId] = {}
         self.members: dict[OperadId, dict[OperadId, None]] = {}
@@ -245,23 +246,22 @@ class MirrorForest:
         root = tree.label
         self.trees[root] = tree
         self.arity_op.update(arities)
-        self.in_op.update(view.in_map)
         self.hats[root] = view.hat_map
         self.hook_op.update(view.hook_map)
         if view.hook_map:
             self.members[root] = dict.fromkeys(view.hook_map)
 
     def agrees_with(self, state: FlatState) -> bool:
-        """Whether every stored relation of state equals the forest's.
+        """Whether each of the four stored relations of state equals the forest's.
 
-        When it does, compare_with_flat finds nothing on any root: each
-        root's slice of the state is its tree's view, and the trees are
-        keyed by their labels.  It is stricter than those comparisons,
-        since an entry under no tree's root also makes it false.
+        When they do, compare_with_flat finds nothing on any root: each
+        root's slice of the state is its tree's view, the trees are keyed
+        by their labels, and the in_op view, read off arity_op and the
+        hats, is each tree's in_map.  It is stricter than those
+        comparisons, since an entry under no tree's root also makes it false.
         """
         return (
             state.arity_op == self.arity_op
-            and state.in_op == self.in_op
             and state.hats == self.hats
             and state.hook_op == self.hook_op
             and state.members == self.members

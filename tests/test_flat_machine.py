@@ -81,9 +81,9 @@ def test_new_operad_shape():
 
 
 def test_views_are_not_fields():
-    # my_operads, foliage, out_op and g_hook_op are views of the stored relations
+    # my_operads, in_op, foliage, out_op and g_hook_op are views of the stored relations
     s = new_operad(empty_state(), "f", 2)
-    for view in ("my_operads", "foliage", "out_op", "g_hook_op"):
+    for view in ("my_operads", "in_op", "foliage", "out_op", "g_hook_op"):
         with pytest.raises(TypeError):
             replace(s, **{view: getattr(s, view)})
     assert s.my_operads == s.arity_op.keys() and s.foliage == {(1, "f"), (2, "f")}
@@ -138,17 +138,6 @@ def test_new_operad_count_bound():
     for k in range(8):
         s = new_operad(s, f"op{k}", 1)
     assert guard_label(new_operad, s, "op8", 1) == "g1"
-
-
-def test_new_operad_foliage_budget():
-    # events alone cannot fill the budget (max_fol >= max_oprd * max_args),
-    # so the hats, and with them the foliage, are filled by hand, up to one
-    # slot short of max_fol = 48
-    s = replace(empty_state(), hats={"f": dict.fromkeys(range(1, 48), "f")})
-    full = new_operad(s, "g", 1)
-    assert len(full.foliage) == 48
-    with pytest.raises(GuardFailed, match=r"^\[g28\] foliage would grow to 49, past max_fol = 48$"):
-        new_operad(full, "h", 1)
 
 
 def test_compose_binary_into_quaternary(quadratic_pair):
@@ -254,19 +243,19 @@ def ill_formed_states():
     wide = Config(max_args=41, max_oprd=1, max_fol=48)
     s1 = new_operad(empty_state(wide), "f", 41)
     s2 = new_operad(empty_state(wide), "g", 9)
-    merged = replace(
-        s1,
-        arity_op={**s1.arity_op, **s2.arity_op},
-        in_op={**s1.in_op, **s2.in_op},
-        hats={**s1.hats, **s2.hats},
-    )
+    merged = replace(s1, arity_op={**s1.arity_op, **s2.arity_op}, hats={**s1.hats, **s2.hats})
     return {
-        # a slot owner outside its composite, on slot ii, below it, or in op2's composite
-        "foreign": (with_hat(s, 2, "f", "h"), ["SP2"]),
-        "foreign_low": (with_hat(s, 4, "f", "h"), ["SP2"]),
-        "foreign_grafted": (with_hat(t, 2, "h", "k"), ["SP2"]),
-        "no_inputs": (replace(s, in_op={k: v for k, v in s.in_op.items() if k != "g"}), ["invr10", "SP2", "SP3"]),
-        "drained": (replace(s, in_op={**s.in_op, "g": frozenset()}), ["SP2", "SP3"]),
+        # a slot owner outside its composite, on slot ii, below it, or in op2's composite;
+        # the input sets follow the hats, so both owners' counts are off too
+        "foreign": (with_hat(s, 2, "f", "h"), ["SP2", "SP3"]),
+        "foreign_low": (with_hat(s, 4, "f", "h"), ["SP2", "SP3"]),
+        "foreign_grafted": (with_hat(t, 2, "h", "k"), ["SP2", "SP3"]),
+        # input sets that drift from intact hats: only a dump's record can hold them
+        "no_inputs": (
+            replace(sections(s), in_op={k: v for k, v in s.in_op.items() if k != "g"}),
+            ["invr10", "SP2", "SP3"],
+        ),
+        "drained": (replace(sections(s), in_op={**s.in_op, "g": frozenset()}), ["SP2", "SP3"]),
         # a member with no in_op entry, under either root
         "orphan": (replace(two, members={"g": {"zz": None}}), ["invr40"]),
         "orphan_under_f": (replace(two, members={"f": {"zz": None}}), ["invr40"]),
@@ -282,6 +271,15 @@ def test_ill_formed_states_fail_at_the_loaders(name):
     assert check_invariants(state) == labels
     with pytest.raises(StateFormatError, match=f"^state violates {', '.join(labels)}$"):
         load_state(dump_state(state), state.config)
+
+
+def test_compose_carries_a_foreign_owner_to_the_check():
+    # compose builds no input sets, so k's slot under h moves into f's row
+    # with the rest, and the check names the state instead of compose raising
+    state, _ = ill_formed_states()["foreign_grafted"]
+    composed = compose_seq(state, "f", 1, "h")
+    assert composed.hats["f"] == {2: "k", 3: "g", 1: "h", 4: "g", 5: "f", 6: "f"}
+    assert check_invariants(composed) == ["SP2", "SP3"]
 
 
 def test_rejected_event_leaves_state_unchanged(quadratic_pair):
@@ -333,11 +331,11 @@ def test_replace_sets_fresh_rows(quadratic_pair):
     assert s.members == {"f": {"g": None}} and foliage_of(s, "f") == (1, 2, 3, 4, 5)
 
 
-FIELDS = {"config", "arity_op", "in_op", "hats", "hook_op", "members"}
+FIELDS = {"config", "arity_op", "hats", "hook_op", "members"}
 
 
 def test_states_cache_nothing(nested_triple):
-    # the six fields are all a state holds, however it was built
+    # the five fields are all a state holds, however it was built
     assert {f.name for f in fields(FlatState)} == FIELDS
     d = empty_decorated()
     for op, arity in (("f", 4), ("g", 3), ("h", 3)):
@@ -388,8 +386,9 @@ def test_invariants_clean_states(quadratic_pair, nested_triple):
 
 
 def test_invariant_sp3_detects_unshrunk_inputs(nested_triple):
-    # slot 4 is h's, so g's claim on it also breaks the slot map
-    bad = replace(nested_triple, in_op={**nested_triple.in_op, "g": frozenset({2, 3, 4})})
+    # slot 4 is h's, so g's claim on it also breaks the slot map; a FlatState's
+    # input sets are read off its hats, so only a dump's record can hold the claim
+    bad = replace(sections(nested_triple), in_op={**nested_triple.in_op, "g": frozenset({2, 3, 4})})
     assert check_invariants(bad) == ["SP2", "SP3"]
 
 
@@ -401,7 +400,7 @@ def test_invariant_sp1_detects_missing_hat(nested_triple):
 
 
 def test_invariant_sp2_detects_lost_position(nested_triple):
-    bad = replace(nested_triple, in_op={**nested_triple.in_op, "h": frozenset({4, 6})})
+    bad = replace(sections(nested_triple), in_op={**nested_triple.in_op, "h": frozenset({4, 6})})
     assert check_invariants(bad) == ["SP2", "SP3"]
 
 

@@ -201,8 +201,9 @@ def test_oracle_mirroring_runs_clean():
 def swap_two_owners(state, root):
     """Swap the owners of root's lowest slot and the next slot of another member.
 
-    Both input sets follow, so SP1-SP3 still hold: only the tree shape
-    tells the swapped state from the one the events built.
+    The input sets are read off the hats, so both follow and SP1-SP3
+    still hold: only the tree shape tells the swapped state from the one
+    the events built.
     """
     hats = hat_map_of(state, root)
     first = min(hats)
@@ -210,11 +211,7 @@ def swap_two_owners(state, root):
     if other is None:
         return state
     a, b = hats[first], hats[other]
-    return replace(
-        state,
-        hats={**state.hats, root: {**state.hats[root], first: b, other: a}},
-        in_op={**state.in_op, a: state.in_op[a] - {first} | {other}, b: state.in_op[b] - {other} | {first}},
-    )
+    return replace(state, hats={**state.hats, root: {**state.hats[root], first: b, other: a}})
 
 
 def patch_compose(monkeypatch, corrupt):
@@ -269,10 +266,12 @@ def test_oracle_reports_an_owner_swap_root_by_root(monkeypatch):
 
 @pytest.mark.parametrize("every", [0, 1, 2])
 def test_verdict_matches_check_invariants_under_a_dropped_input_set(monkeypatch, every):
-    # some composes lose op2's in_op entry; a later compose of its component restores it
+    # some composes hand op2's slots to op1, so op2's input set is dropped
+    # (in_op is read off the hats) and op1's grows; later composes carry it on
     def dropping(state, op1, op2):
         if len(state.g_hook_op) % 2:
-            return replace(state, in_op={k: v for k, v in state.in_op.items() if k != op2})
+            row = {p: op1 if m == op2 else m for p, m in state.hats[op1].items()}
+            return replace(state, hats={**state.hats, op1: row})
         return state
 
     patch_compose(monkeypatch, dropping)
@@ -297,7 +296,6 @@ def state_of(forest, config):
     return FlatState(
         config=config,
         arity_op=dict(forest.arity_op),
-        in_op=dict(forest.in_op),
         hats=dict(forest.hats),
         hook_op=dict(forest.hook_op),
         members=dict(forest.members),
