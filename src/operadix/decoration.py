@@ -108,11 +108,12 @@ def compose_seq_x(state: DecoratedState, op1: OperadId, ii: Position, op2: Opera
     them, exactly as it relabels the base slot map; the symbol of
     the grafting slot itself is consumed.
     """
+    members = state.base.members
     base, witness = compose_seq_with_witness(state.base, op1, ii, op2)
     new_in_x = dict(state.in_op_x)
-    for member in witness.hooked_in_op1:
+    for member in (op1, *members.get(op1, ())):
         new_in_x[member] = witness.moved(state.in_op_x.get(member, {}), {})
-    for member in witness.hooked_in_op2:
+    for member in (op2, *members.get(op2, ())):
         new_in_x[member] = witness.moved({}, state.in_op_x.get(member, {}))
     return replace(
         state,

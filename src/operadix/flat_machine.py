@@ -11,19 +11,20 @@ sets are read off, and the decoration layer applies it to the symbols
 on the slots.
 
 Vocabulary, with ``op2`` grafted into slot ``ii`` of the composite
-rooted at ``op1``.  Four relations are stored:
+rooted at ``op1``.  Three relations are stored:
 
   arity_op     arity at creation time; composition never changes it
   hats         root -> its row: each open slot of its composite -> the member owning it
-  hook_op      member -> the member it was directly grafted into
-  members      root -> its row: each member grafted below it -> None
+  members      root -> its row: each member grafted below it -> the member it was
+               directly grafted into, its parent
 
-and five are read-only views of them:
+and six are read-only views of them:
 
   my_operads   every operad created so far, grafted or not: arity_op's keys
   in_op        per operad, the slot labels it owns: the hats rows inverted
   foliage      the open (position, root) slots of each composite: the rows' keys
   out_op       output positions, always {1}; its domain is the roots
+  hook_op      member -> its parent: the members rows merged
   g_hook_op    member -> the root of its composite: the members rows inverted
 
 Events are pure: they validate guards against the old state and return
@@ -33,14 +34,14 @@ guard's label and leaves the old state untouched.
 The stored relations are the only truth, and a state caches nothing.
 Grafting acts on one composite at a time, so the hats and the members
 are stored a row per root, which compose, the checks and the per-root
-queries read; an operad is grafted when it has a hook_op entry.  The
-rows are shared between states, so never mutate a state in place:
-build a new one, with dataclasses.replace.
+queries read; the roots are the keys of hats.  The rows are shared
+between states, so never mutate a state in place: build a new one,
+with dataclasses.replace.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Set
+from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TypeVar
@@ -56,6 +57,7 @@ from .core import (
 )
 
 V = TypeVar("V")
+W = TypeVar("W")
 
 
 @dataclass(frozen=True)
@@ -79,21 +81,21 @@ class ComposeSeq:
 Event = NewOperad | ComposeSeq
 
 
-def _rows(pairs: Iterable[tuple[V, OperadId]]) -> dict[OperadId, dict[V, None]]:
-    """Group (item, root) pairs by root into rows {item: None}; a row is made once, not per item as setdefault."""
-    rows: dict[OperadId, dict[V, None]] = {}
+def _rows(pairs: Iterable[tuple[V, OperadId]], values: Mapping[V, W] = {}) -> dict[OperadId, dict[V, W | None]]:
+    """Group (item, root) pairs by root into rows {item: values.get(item)}; a row is made once, not per item as setdefault."""
+    rows: dict[OperadId, dict[V, W | None]] = {}
     for item, root in pairs:
         row = rows.get(root)
         if row is None:
-            rows[root] = {item: None}
+            rows[root] = {item: values.get(item)}
         else:
-            row[item] = None
+            row[item] = values.get(item)
     return rows
 
 
 @dataclass(frozen=True)
 class FlatState:
-    """A machine state: four stored relations and five read-only views.
+    """A machine state: three stored relations and six read-only views.
 
     The views are built from the relations, in_op and out_op in
     arity_op's order, so SP1, invr10 and the key half of inv30 hold by
@@ -105,8 +107,7 @@ class FlatState:
     config: Config
     arity_op: dict[OperadId, int]
     hats: dict[OperadId, dict[Position, OperadId]]
-    hook_op: dict[OperadId, OperadId]
-    members: dict[OperadId, dict[OperadId, None]]
+    members: dict[OperadId, dict[OperadId, OperadId]]
 
     @property
     def my_operads(self) -> Set[OperadId]:
@@ -130,11 +131,17 @@ class FlatState:
 
     @property
     def out_op(self) -> dict[OperadId, frozenset[Position]]:
-        return dict.fromkeys([op for op in self.arity_op if op not in self.hook_op], frozenset({1}))
+        grafted = self.g_hook_op
+        return dict.fromkeys([op for op in self.arity_op if op not in grafted], frozenset({1}))
+
+    @property
+    def hook_op(self) -> dict[OperadId, OperadId]:
+        """Built from the rows on every read, for dumps, the checks and the root queries; events read the rows."""
+        return {m: parent for row in self.members.values() for m, parent in row.items()}
 
     @property
     def g_hook_op(self) -> dict[OperadId, OperadId]:
-        """Built from the rows on every read, for dumps and the whole-state check; events read the rows."""
+        """Built from the rows on every read, like hook_op."""
         return {m: root for root, row in self.members.items() for m in row}
 
     @property
@@ -151,8 +158,9 @@ class Sections:
     my_operads, in_op, foliage, out_op and g_hook_op are read from their
     own sections, so check_invariants can label a dump as it is.  Its hats
     are read into rows, one per root, in line order; its members rows
-    are built from g_hook_op.  check, export and the loaders read dumps
-    into it; dump_state and state_to_json take it too.
+    are built from g_hook_op, each member's parent from hook_op.  check,
+    export and the loaders read dumps into it; dump_state and
+    state_to_json take it too.
     """
 
     config: Config
@@ -171,22 +179,22 @@ class Sections:
         return _rows(self.foliage)
 
     @cached_property
-    def members(self) -> dict[OperadId, dict[OperadId, None]]:
-        """The ghook section in rows, root -> {member: None}, which invr40 and component_of read as a FlatState's."""
-        return _rows(self.g_hook_op.items())
+    def members(self) -> dict[OperadId, dict[OperadId, OperadId | None]]:
+        """The ghook section in rows, root -> {member: its hook entry}, which invr40 and component_of read as a FlatState's."""
+        return _rows(self.g_hook_op.items(), self.hook_op)
 
     def to_state(self) -> FlatState:
         """The FlatState of a record that check_invariants passes.
 
-        By inv30, invr10, SP2, inv60 and SP1 the sections it drops are
-        its views of the rest, and the ghook section goes in as the rows
-        the check built.
+        By inv30, invr10, SP2, inv60, SP1 and invr40 the sections it
+        drops are its views of the rest, and the ghook and hook sections
+        go in as the rows the check built.
         """
-        return FlatState(self.config, self.arity_op, self.hats, self.hook_op, self.members)
+        return FlatState(self.config, self.arity_op, self.hats, self.members)
 
 
 def empty_state(config: Config | None = None) -> FlatState:
-    return FlatState(config or Config(), arity_op={}, hats={}, hook_op={}, members={})
+    return FlatState(config or Config(), arity_op={}, hats={}, members={})
 
 
 def new_operad(state: FlatState, op_id: OperadId, arity: int, outs: int = 1) -> FlatState:
@@ -214,7 +222,6 @@ def new_operad(state: FlatState, op_id: OperadId, arity: int, outs: int = 1) -> 
         config=cfg,
         arity_op={**state.arity_op, op_id: arity},
         hats={**state.hats, op_id: dict.fromkeys(positions, op_id)},
-        hook_op=state.hook_op,
         members=state.members,
     )
 
@@ -234,8 +241,6 @@ class ComposeWitness:
     ii: Position
     cardfol1: int
     cardfol2: int
-    hooked_in_op1: frozenset[OperadId]
-    hooked_in_op2: frozenset[OperadId]
 
     def moved(self, outer: dict[Position, V], grafted: dict[Position, V]) -> dict[Position, V]:
         """The relabelling rule on slot maps.
@@ -269,8 +274,8 @@ def compose_seq_with_witness(
 
     Cost: the Python work is O(component): the guards and op1's new
     hats and members rows, each built from the rows of op1 and op2.
-    Building the new state also copies hook_op and the outer dicts of
-    hats and members, in C.
+    Building the new state also copies the outer dicts of hats and
+    members, one entry per root, in C.
     """
     if op1 == op2:
         raise GuardFailed("op-distinct", f"cannot compose {op1!r} with itself")
@@ -278,23 +283,22 @@ def compose_seq_with_witness(
         raise GuardFailed("rg20", f"unknown operad {op1!r}")
     if op2 not in state.arity_op:
         raise GuardFailed("rg22", f"unknown operad {op2!r}")
-    if op1 in state.hook_op:
+    # by the precondition the roots are the keys of hats
+    if op1 not in state.hats:
         raise GuardFailed("rg26", f"{op1!r} is grafted inside a composite and cannot be a target")
-    if op2 in state.hook_op:
+    if op2 not in state.hats:
         raise GuardFailed("rg24", f"{op2!r} is grafted inside a composite and cannot be grafted again")
 
     members = state.members
-    hooked1 = frozenset([op1, *members.get(op1, ())])
-    hooked2 = frozenset([op2, *members.get(op2, ())])
     # the rows are shared between states, read-only
-    hat1 = state.hats.get(op1, {})
-    hat2 = state.hats.get(op2, {})
+    hat1 = state.hats[op1]
+    hat2 = state.hats[op2]
     if type(ii) is not int or ii not in hat1:
         raise GuardFailed("rg72", f"position {ii} is not an open slot of the composite rooted at {op1!r}")
     hat_op_ii = hat1[ii]
     cardfol1 = len(hat1)
     cardfol2 = len(hat2)
-    witness = ComposeWitness(op1, op2, ii, cardfol1, cardfol2, hooked1, hooked2)
+    witness = ComposeWitness(op1, op2, ii, cardfol1, cardfol2)
 
     # op1's row drops the slots op1 owns (its input set, by SP2); its other members'
     # slots keep their place, with new owners, and the rest follow in moved() order
@@ -302,17 +306,11 @@ def compose_seq_with_witness(
     row.update(witness.moved(hat1, hat2))
     new_hats = {**state.hats, op1: row}
     del new_hats[op2]
-    # op1's members row is built from the two rows, not from hooked2, so its order never depends on the hash seed
-    new_members = {**members, op1: {**members.get(op1, {}), op2: None, **members.get(op2, {})}}
+    # op2 hangs from the member owning slot ii; op2's own row keeps its parents
+    new_members = {**members, op1: {**members.get(op1, {}), op2: hat_op_ii, **members.get(op2, {})}}
     new_members.pop(op2, None)
 
-    new_state = FlatState(
-        config=state.config,
-        arity_op=state.arity_op,
-        hats=new_hats,
-        hook_op={**state.hook_op, op2: hat_op_ii},
-        members=new_members,
-    )
+    new_state = FlatState(config=state.config, arity_op=state.arity_op, hats=new_hats, members=new_members)
     return new_state, witness
 
 
@@ -330,8 +328,8 @@ def apply_event(state: FlatState, event: Event) -> FlatState:
 
 
 def roots(state: FlatState) -> tuple[OperadId, ...]:
-    """Operads not grafted anywhere, sorted; each roots one composite."""
-    return tuple(sorted(state.arity_op.keys() - state.hook_op.keys()))
+    """Operads not grafted anywhere, sorted; each roots one composite and keys one hats row."""
+    return tuple(sorted(state.hats))
 
 
 def _require_root(state: FlatState, root: OperadId) -> None:
@@ -364,8 +362,8 @@ def in_map_of(state: FlatState, root: OperadId) -> dict[OperadId, frozenset[Posi
 
 
 def hook_map_of(state: FlatState, root: OperadId) -> dict[OperadId, OperadId]:
-    members = component_of(state, root)
-    return {oo: state.hook_op[oo] for oo in sorted(members) if oo in state.hook_op}
+    hook_op = state.hook_op
+    return {oo: hook_op[oo] for oo in sorted(component_of(state, root)) if oo in hook_op}
 
 
 def _within_bounds(state: FlatState | Sections) -> tuple[bool, bool, bool]:
@@ -376,6 +374,20 @@ def _within_bounds(state: FlatState | Sections) -> tuple[bool, bool, bool]:
         _arities_ok(state.arity_op.values(), cfg),
         sum(map(len, state._foliage_rows.values())) <= cfg.max_fol,
     )
+
+
+def _reaches_root(root: OperadId, row: Mapping[OperadId, OperadId | None]) -> bool:
+    """Whether each member's parent chain, followed within root's members row, ends at root: no cycle, no way out."""
+    reached = {root}
+    for m in row:
+        chain = set()
+        while m not in reached:
+            if m not in row or m in chain:
+                return False
+            chain.add(m)
+            m = row[m]
+        reached |= chain
+    return True
 
 
 def check_invariants(state: FlatState | Sections) -> list[str]:
@@ -392,9 +404,10 @@ def check_invariants(state: FlatState | Sections) -> list[str]:
     follows Config's arity rule, each root's foliage positions are
     exactly 1..n for its n > 0 slots, arity_op and in_op are keyed by
     exactly the operads, out_op is {1} on exactly the roots, hook_op and
-    g_hook_op share their keys, the members rows are not empty and list
-    each member once, and a member shares its parent's root.  Each
-    structural one holds for the whole state at once:
+    g_hook_op share their keys, the members rows are not empty, list
+    each member once and key no member, and each member's parent chain,
+    followed within its row, reaches the row's root.  Each structural
+    one holds for the whole state at once:
 
       SP1  every open slot has one hat: root by root, the row's keys are the foliage
       SP2  each input set is exactly the slots its member owns: each hat
@@ -405,7 +418,8 @@ def check_invariants(state: FlatState | Sections) -> list[str]:
     Not exact: a non-planar state passes, such as f:3 o_2 g:2 with
     in f = {1,3}, in g = {2,4} and the hats to match.  Cost: O(state),
     in Python passes over the ids, the hats (twice on a FlatState,
-    once more for the in_op view), the operads and hook_op.
+    once more for the in_op view), the operads and the members rows
+    (on a FlatState, once more for each view built from them).
     A state that a MirrorForest agrees with meets every rule here but
     the bounds, so the simulator calls this only to name a failure.
     """
@@ -417,6 +431,7 @@ def check_invariants(state: FlatState | Sections) -> list[str]:
     hats = state.hats
     fol_rows = state._foliage_rows
     members = state.members
+    hook_op = state.hook_op
     g_hook_op = state.g_hook_op
 
     if not ids_ok:
@@ -441,8 +456,9 @@ def check_invariants(state: FlatState | Sections) -> list[str]:
         and all(members.values())
         # g_hook_op keeps one root per member, so a member listed in two rows makes the counts differ
         and sum(map(len, members.values())) == len(g_hook_op)
-        and state.hook_op.keys() == g_hook_op.keys()
-        and all(g_hook_op.get(parent, parent) == g_hook_op[m] for m, parent in state.hook_op.items())
+        and hook_op.keys() == g_hook_op.keys()
+        and members.keys().isdisjoint(g_hook_op)
+        and all(_reaches_root(root, row) for root, row in members.items())
     ):
         bad.append("invr40")
 
@@ -453,7 +469,7 @@ def check_invariants(state: FlatState | Sections) -> list[str]:
     ):
         bad.append("SP2")
     children = dict.fromkeys(ops, 0)
-    for parent in state.hook_op.values():
+    for parent in hook_op.values():
         children[parent] = children.get(parent, 0) + 1
     if any(arity_op.get(op) != len(in_op.get(op, ())) + children[op] for op in ops):
         bad.append("SP3")

@@ -38,7 +38,6 @@ from .flat_machine import (
     compose_seq_with_witness,
     composition_law_violations,
     empty_state,
-    foliage_of,
     new_operad,
     roots,
 )
@@ -142,7 +141,7 @@ def run(sim: SimConfig) -> SimReport:
             name = "compose_seq"
             op1 = rng.choice(root_list)
             op2 = rng.choice([op for op in root_list if op != op1])
-            ii = rng.choice(foliage_of(state, op1))
+            ii = rng.choice(sorted(state.hats[op1]))
             event: Event = ComposeSeq(op1, ii, op2)
         else:
             name = "new_operad"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import BoundsError, OperadError, OperadId, Position
-from .flat_machine import FlatState, component_of, foliage_of, hat_map_of
+from .flat_machine import FlatState, component_of, foliage_of, hat_map_of, hook_map_of
 
 
 class DuplicateLabels(OperadError):
@@ -158,13 +158,14 @@ def compare_with_flat(state: FlatState, root: OperadId, tree: TreeOperad) -> lis
     root.  A member with no in_op or arity_op entry shows up as an in
     or arity mismatch.
 
-    Cost: O(state) per call on a FlatState, for its in_op view, read
-    once; the rest is O(component).  The tree is walked once in its
-    lifetime (the walk is cached on it), the machine side is read from
-    root's hats and members rows and the in_op view, and each member
-    costs one lookup in in_op, hook_op and arity_op.  To check a whole
-    state against its mirrors, use MirrorForest.agrees_with; this
-    comparison runs only to explain a mismatch, root by root.
+    Cost: O(state) per call on a FlatState, for its views: in_op is
+    read once and hook_op by each root query; the rest is
+    O(component).  The tree is walked once in its lifetime (the walk
+    is cached on it), the machine side is read from root's hats and
+    members rows, and each member costs one lookup in in_op and
+    arity_op.  To check a whole state against its mirrors, use
+    MirrorForest.agrees_with; this comparison runs only to explain a
+    mismatch, root by root.
     """
     problems: list[str] = []
     view, arities = tree._walked
@@ -191,7 +192,7 @@ def compare_with_flat(state: FlatState, root: OperadId, tree: TreeOperad) -> lis
     if flat_hat != view.hat_map:
         problems.append(f"hat: machine {flat_hat} != tree {view.hat_map}")
 
-    flat_hook = {oo: state.hook_op[oo] for oo in members if oo in state.hook_op}
+    flat_hook = hook_map_of(state, root)
     if flat_hook != view.hook_map:
         problems.append(f"hook: machine {flat_hook} != tree {view.hook_map}")
 
@@ -210,8 +211,9 @@ class MirrorForest:
     The other attributes are the union of the trees' cached flat views,
     in the machine's vocabulary, one per stored relation of a FlatState:
     arity_op on every node, hats with each tree's cached hat_map as its
-    root's row, shared and read-only, hook_op on every grafted node, and
-    members with a row of its grafted nodes for each tree that has one.
+    root's row, and members with each tree's cached hook_map as its
+    root's row, for each tree that has a grafted node; the rows are
+    shared and read-only.
     Labels never repeat across the trees, so the union is disjoint and
     each tree's view is its slice.
 
@@ -224,8 +226,7 @@ class MirrorForest:
         self.trees: dict[OperadId, TreeOperad] = {}
         self.arity_op: dict[OperadId, int] = {}
         self.hats: dict[OperadId, dict[Position, OperadId]] = {}
-        self.hook_op: dict[OperadId, OperadId] = {}
-        self.members: dict[OperadId, dict[OperadId, None]] = {}
+        self.members: dict[OperadId, dict[OperadId, OperadId]] = {}
 
     def new(self, label: OperadId, arity: int) -> None:
         """Add the elementary tree of label as a new root."""
@@ -247,22 +248,17 @@ class MirrorForest:
         self.trees[root] = tree
         self.arity_op.update(arities)
         self.hats[root] = view.hat_map
-        self.hook_op.update(view.hook_map)
         if view.hook_map:
-            self.members[root] = dict.fromkeys(view.hook_map)
+            self.members[root] = view.hook_map
 
     def agrees_with(self, state: FlatState) -> bool:
-        """Whether each of the four stored relations of state equals the forest's.
+        """Whether each of the three stored relations of state equals the forest's.
 
         When they do, compare_with_flat finds nothing on any root: each
         root's slice of the state is its tree's view, the trees are keyed
-        by their labels, and the in_op view, read off arity_op and the
-        hats, is each tree's in_map.  It is stricter than those
+        by their labels, the in_op view, read off arity_op and the hats,
+        is each tree's in_map, and the hook_op view, read off the members
+        rows, is each tree's hook_map.  It is stricter than those
         comparisons, since an entry under no tree's root also makes it false.
         """
-        return (
-            state.arity_op == self.arity_op
-            and state.hats == self.hats
-            and state.hook_op == self.hook_op
-            and state.members == self.members
-        )
+        return state.arity_op == self.arity_op and state.hats == self.hats and state.members == self.members

@@ -199,6 +199,50 @@ def test_check_rejects_unreachable_states(tmp_path, capsys, build):
     assert json.loads(capsys.readouterr().out) == state_to_json(state)
 
 
+# root r:2 with members a:2 and b:2, each hooked to the other: every count
+# and slot agrees, but no parent chain reaches the root
+HOOK_CYCLE = """[operads]
+operads: a
+operads: b
+operads: r
+[arity]
+arity: a->2
+arity: b->2
+arity: r->2
+[foliage]
+foliage: (1,r)
+foliage: (2,r)
+foliage: (3,r)
+foliage: (4,r)
+[in]
+in: a->{3}
+in: b->{4}
+in: r->{1,2}
+[out]
+out: r->{1}
+[hat]
+hat: (1,r)->r
+hat: (2,r)->r
+hat: (3,r)->a
+hat: (4,r)->b
+[hook]
+hook: a->b
+hook: b->a
+[ghook]
+ghook: a->r
+ghook: b->r
+"""
+
+
+def test_check_rejects_a_hook_cycle(tmp_path, capsys):
+    with pytest.raises(StateFormatError, match=r"^state violates invr40$"):
+        load_state(HOOK_CYCLE)
+    path = tmp_path / "cycle.dump"
+    path.write_text(HOOK_CYCLE)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().out == "violated: invr40\n"
+
+
 def decorated_dump():
     s = new_operad_x(empty_decorated(), "f", 3)
     return dump_decorated(s)

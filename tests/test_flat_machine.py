@@ -81,9 +81,9 @@ def test_new_operad_shape():
 
 
 def test_views_are_not_fields():
-    # my_operads, in_op, foliage, out_op and g_hook_op are views of the stored relations
+    # my_operads, in_op, foliage, out_op, hook_op and g_hook_op are views of the stored relations
     s = new_operad(empty_state(), "f", 2)
-    for view in ("my_operads", "in_op", "foliage", "out_op", "g_hook_op"):
+    for view in ("my_operads", "in_op", "foliage", "out_op", "hook_op", "g_hook_op"):
         with pytest.raises(TypeError):
             replace(s, **{view: getattr(s, view)})
     assert s.my_operads == s.arity_op.keys() and s.foliage == {(1, "f"), (2, "f")}
@@ -198,7 +198,6 @@ def test_compose_witness_relabelling(quadratic_pair):
     _, w = compose_seq_with_witness(s, "f", 2, "g")
     assert (w.op1, w.op2, w.ii) == ("f", "g", 2)
     assert (w.cardfol1, w.cardfol2) == (4, 2)
-    assert (w.hooked_in_op1, w.hooked_in_op2) == ({"f"}, {"g"})
     # hats: op1's low slots, then op2's, then op1's high slots; slot 2 is consumed
     hats = w.moved({1: "f", 2: "f", 3: "f", 4: "f"}, {1: "g", 2: "g"})
     assert list(hats.items()) == [(1, "f"), (2, "g"), (3, "g"), (4, "f"), (5, "f")]
@@ -328,14 +327,14 @@ def test_replace_sets_fresh_rows(quadratic_pair):
     assert foliage_of(shrunk, "f") == (1, 2)
     assert hat_map_of(shrunk, "f") == {1: "f", 2: "g"}
     assert component_of(shrunk, "f") == {"f"}
-    assert s.members == {"f": {"g": None}} and foliage_of(s, "f") == (1, 2, 3, 4, 5)
+    assert s.members == {"f": {"g": "f"}} and foliage_of(s, "f") == (1, 2, 3, 4, 5)
 
 
-FIELDS = {"config", "arity_op", "hats", "hook_op", "members"}
+FIELDS = {"config", "arity_op", "hats", "members"}
 
 
 def test_states_cache_nothing(nested_triple):
-    # the five fields are all a state holds, however it was built
+    # the four fields are all a state holds, however it was built
     assert {f.name for f in fields(FlatState)} == FIELDS
     d = empty_decorated()
     for op, arity in (("f", 4), ("g", 3), ("h", 3)):
@@ -366,9 +365,28 @@ def test_members_rows_are_not_empty_and_list_each_member_once(nested_triple):
         assert dump_state(bad) == dump_state(s)
 
 
+@pytest.mark.parametrize(
+    "labels,rows",
+    [
+        # each parent chain, followed within its row, must end at the row's root;
+        # a parent that moved also leaves an arity off by a child (SP3)
+        (["invr40", "SP3"], {"f": {"g": "h", "h": "g"}}),
+        (["invr40", "SP3"], {"f": {"g": "f", "h": "h"}}),
+        (["invr40", "SP3"], {"f": {"g": "f", "h": "k"}}),
+        # a row keyed by a member
+        (["invr40", "SP2", "SP3"], {"f": {"g": "f", "h": "g"}, "g": {"k": "g"}}),
+        # a row may list a child before its parent
+        ([], {"f": {"h": "g", "g": "f"}}),
+    ],
+)
+def test_members_rows_lead_every_member_to_its_root(nested_triple, labels, rows):
+    s = new_operad(nested_triple, "k", 1)
+    assert check_invariants(replace(s, members=rows)) == labels
+
+
 def test_record_members_are_the_ghook_section_in_rows(nested_triple):
     record = sections(nested_triple)
-    assert record.members == _rows(record.g_hook_op.items()) == {"f": {"g": None, "h": None}}
+    assert record.members == _rows(record.g_hook_op.items(), record.hook_op) == {"f": {"g": "f", "h": "g"}}
     assert record.to_state() == nested_triple and record.to_state().members is record.members
 
 

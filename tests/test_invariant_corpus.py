@@ -62,8 +62,9 @@ RELATIONS = (
     "hook_op",
     "g_hook_op",
 )
-# the sections a FlatState stores, each with the field that stores it
-STORED = {"arity_op": "arity_op", "hats": "hats", "hook_op": "hook_op", "g_hook_op": "members"}
+# the sections a FlatState stores, each with the field that stores it:
+# the members rows hold the ghook section's roots and the hook section's parents
+STORED = {"arity_op": "arity_op", "hats": "hats", "hook_op": "members", "g_hook_op": "members"}
 
 
 def sections(state):
@@ -181,7 +182,8 @@ def test_every_corpus_mutation_is_flagged():
 
 
 def test_forest_agrees_with_exactly_the_reachable_states():
-    # a FlatState stores four relations, the ghook section as members rows;
+    # a FlatState stores three relations, the hook and ghook sections as
+    # members rows, so a hook edit off the ghook keys reaches no field;
     # the four other views have no edit of their own
     agreed = Counter()
     for state, forest, _, bad, description in corpus_mutations():
@@ -192,7 +194,7 @@ def test_forest_agrees_with_exactly_the_reachable_states():
             edited = replace(state, **{field: getattr(bad, field)})
             assert forest.agrees_with(edited) == (edited == state), description
             agreed[forest.agrees_with(edited)] += 1
-    assert agreed == {False: 634, True: 20}
+    assert agreed == {False: 557, True: 97}
 
 
 def test_corpus_exercises_every_label():
@@ -201,7 +203,7 @@ def test_corpus_exercises_every_label():
         counts.update(check_invariants(bad))
     assert counts == {
         "SP1": 271, "SP2": 413, "SP3": 501, "inv10": 52, "inv30": 318,
-        "inv40": 173, "inv60": 376, "invr10": 242, "invr20": 100, "invr40": 347,
+        "inv40": 173, "inv60": 376, "invr10": 242, "invr20": 100, "invr40": 358,
     }
 
 

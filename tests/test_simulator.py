@@ -297,7 +297,6 @@ def state_of(forest, config):
         config=config,
         arity_op=dict(forest.arity_op),
         hats=dict(forest.hats),
-        hook_op=dict(forest.hook_op),
         members=dict(forest.members),
     )
 
