@@ -21,6 +21,14 @@ and hashes, per block of 50 programs, ``print_program``, ``dump_state``,
 ``check_invariants`` and ``check_gluing``.  None of these shows a
 frozenset's repr, whose order depends on how the set was built.
 
+To gate the dump readers, it gives the plain and the decorated dump of
+each of the first ``READER_PROGRAMS`` of those programs ``READER_EDITS``
+seeded token edits in turn (drop, replace or insert, as in the CLI fuzz
+test; the ``[alphabet]`` header and its ``alphabet:`` line are never
+edited), runs the text after every edit through in-process
+``operadix.cli.main`` with ``check --json -`` and with ``export -``,
+and hashes the exit codes, stdout and stderr per block of 50 programs.
+
 It prints one hash per config and block, lists those whose hashes
 differ between the sides, and exits 1 if any does.  Standard library
 only.
@@ -79,6 +87,51 @@ for start in range(0, len(programs), {block}):
     hashes[name] = hashlib.sha256("\\0".join(parts).encode()).hexdigest()
 print(json.dumps(hashes))
 """
+READER_PROGRAMS = 200
+READER_EDITS = 5
+READER_HASHER = """\
+import contextlib, hashlib, io, itertools, json, os, random, re, sys
+sys.path[:0] = ["src", "perfbench"]
+os.environ.pop("OPERADIX_CONFIG", None)
+import operadix as ox
+from operadix.cli import main
+from workloads import WORKLOADS
+TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z_]+|\\s+|.", re.DOTALL)
+KEPT_RE = re.compile(r"(\\n\\[alphabet\\]\\nalphabet: [^\\n]*\\n)")
+EXTRA = ["", "0", "-1", "99", "\u0661", "\u00b2", "\u00e9", "[hat]", "[inx]", "#", ":", "->", "{{", "}}", ",", "(",
+         ")", "zz", "\\n", "\\t", "\\r", "\\x00"]
+workload = WORKLOADS["text-pipeline"](ox, {seed})
+programs = list(itertools.islice(workload.inputs(), {programs}))
+rng = random.Random({seed})
+hashes = {{}}
+for start in range(0, len(programs), {block}):
+    parts = []
+    for program in programs[start:start + {block}]:
+        outputs = workload.request(program, lambda fn, *args: fn(*args))
+        for text in (outputs[2], outputs[6]):
+            # the [alphabet] header and its line are one token, kept whole
+            pieces = KEPT_RE.split(text)
+            kept = pieces[1] if len(pieces) == 3 else None
+            tokens = [t for k, piece in enumerate(pieces) for t in ([piece] if k == 1 else TOKEN_RE.findall(piece))]
+            pool = sorted(set(tokens) - {{kept, "alphabet"}} | set(EXTRA))
+            for _ in range({edits}):
+                at, action, token = rng.randrange(len(tokens) + 1), rng.choice(["drop", "swap", "insert"]), rng.choice(pool)
+                if action == "insert" or at == len(tokens) or tokens[at] == kept:
+                    tokens.insert(at, token)
+                elif action == "swap":
+                    tokens[at] = token
+                else:
+                    del tokens[at]
+                for argv in (["check", "--json", "-"], ["export", "-"]):
+                    out, err = io.StringIO(), io.StringIO()
+                    sys.stdin = io.StringIO("".join(tokens))
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = main(argv)
+                    parts += [str(code), out.getvalue(), err.getvalue()]
+    name = f"reader seed={seed} programs {{start + 1}}-{{start + {block}}}"
+    hashes[name] = hashlib.sha256("\\0".join(parts).encode()).hexdigest()
+print(json.dumps(hashes))
+"""
 
 
 def output_hashes(checkout: Path) -> dict[str, str]:
@@ -88,6 +141,7 @@ def output_hashes(checkout: Path) -> dict[str, str]:
     for code in (
         HASHER.format(seeds=SEEDS, max_oprd=MAX_OPRD, every=ORACLE_EVERY, steps=STEPS),
         TEXT_HASHER.format(seed=TEXT_SEED, programs=TEXT_PROGRAMS, block=TEXT_BLOCK),
+        READER_HASHER.format(seed=TEXT_SEED, programs=READER_PROGRAMS, block=TEXT_BLOCK, edits=READER_EDITS),
     ):
         proc = subprocess.run([sys.executable, "-B", "-c", code], cwd=checkout, env=env, capture_output=True, text=True)
         if proc.returncode != 0:

@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 
 from .core import BoundsError, Config, GuardFailed, OperadId, Position, StateFormatError
 from .flat_machine import FlatState, compose_seq_with_witness, empty_state, new_operad
-from .serialize import SECTIONS, _read_entries, _state_from_entries, _well_formed, dump_state, state_to_json
+from .serialize import SECTIONS, _FORMS, _op, _read_entries, _read_sections, _state_from_entries, _well_formed
+from .serialize import dump_state, state_to_json
 
 _SYMBOL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -183,10 +184,27 @@ def dump_decorated(state: DecoratedState) -> str:
     return "\n".join(lines) + "\n"
 
 
-_INX_RE = re.compile(r"([A-Za-z0-9_]+)->\{([0-9A-Za-z_,:]*)\}\Z")
-_OUTX_RE = re.compile(r"([A-Za-z0-9_]+)->([A-Za-z0-9_]+)\Z")
+def _decor(m: re.Match, lineno: int) -> dict[Position, str]:
+    """The slot list of an inx entry, {1:a,4:c} without its braces in group 2."""
+    decor: dict[Position, str] = {}
+    for item in m[2].split(",") if m[2] else ():
+        pos_text, sep, symbol = item.partition(":")
+        if not sep or not pos_text.isdigit() or not _SYMBOL_RE.match(symbol):
+            raise StateFormatError(f"line {lineno}: malformed slot decoration {item!r}")
+        pos = int(pos_text)
+        if pos in decor:
+            raise StateFormatError(f"line {lineno}: slot {pos} decorated twice")
+        decor[pos] = symbol
+    return decor
 
-_EXTRA_SECTIONS = ("alphabet", "inx", "outx")
+
+# The decoration sections in the rows of serialize's entry grammar; an
+# outx entry has the form of a hook entry.
+_DECOR_FORMS = {
+    "alphabet": (re.compile(".*"), lambda m: "alphabet", lambda m, n: tuple(m[0].split(",")), None, "alphabet given twice"),
+    "inx": (re.compile(r"([A-Za-z0-9_]+)->\{([0-9A-Za-z_,:]*)\}\Z"), _op, _decor, None, None),
+    "outx": _FORMS["hook"],
+}
 
 
 def load_decorated(text: str, config: Config | None = None) -> DecoratedState:
@@ -196,48 +214,23 @@ def load_decorated(text: str, config: Config | None = None) -> DecoratedState:
 
 
 def _read_decorated(text: str, config: Config | None = None) -> DecoratedState:
-    """The decorated dump, its base a raw Sections record; checked for the format and the alphabet only."""
-    entries = list(_read_entries(text, SECTIONS + _EXTRA_SECTIONS))
-    base = _state_from_entries((e for e in entries if e[1] in SECTIONS), config)
-    alphabet: tuple[str, ...] | None = None
-    in_op_x: dict[str, dict[int, str]] = {}
-    out_op_x: dict[str, str] = {}
-    for lineno, section, body in entries:
-        if section == "alphabet":
-            if alphabet is not None:
-                raise StateFormatError(f"line {lineno}: alphabet given twice")
-            alphabet = tuple(body.split(","))
-        elif section == "inx":
-            m = _INX_RE.match(body)
-            if not m:
-                raise StateFormatError(f"line {lineno}: malformed inx entry {body!r}")
-            op = m.group(1)
-            if op in in_op_x:
-                raise StateFormatError(f"line {lineno}: duplicate inx entry for {op!r}")
-            decor: dict[int, str] = {}
-            if m.group(2):
-                for item in m.group(2).split(","):
-                    pos_text, sep, symbol = item.partition(":")
-                    if not sep or not pos_text.isdigit() or not _SYMBOL_RE.match(symbol):
-                        raise StateFormatError(f"line {lineno}: malformed slot decoration {item!r}")
-                    pos = int(pos_text)
-                    if pos in decor:
-                        raise StateFormatError(f"line {lineno}: slot {pos} decorated twice")
-                    decor[pos] = symbol
-            in_op_x[op] = decor
-        elif section == "outx":
-            m = _OUTX_RE.match(body)
-            if not m:
-                raise StateFormatError(f"line {lineno}: malformed outx entry {body!r}")
-            op = m.group(1)
-            if op in out_op_x:
-                raise StateFormatError(f"line {lineno}: duplicate outx entry for {op!r}")
-            out_op_x[op] = m.group(2)
+    """The decorated dump, its base a raw Sections record; checked for the format and the alphabet only.
 
-    if alphabet is None:
+    Errors come in this order: every line's grammar, then the base
+    entries, then the decoration entries, then the alphabet.
+    """
+    entries = list(_read_entries(text, SECTIONS + tuple(_DECOR_FORMS)))
+    base = _state_from_entries((e for e in entries if e[1] in _FORMS), config)
+    read = _read_sections((e for e in entries if e[1] in _DECOR_FORMS), _DECOR_FORMS)
+    if not read["alphabet"]:
         raise StateFormatError("decorated dump is missing the [alphabet] section")
-    _require_alphabet(alphabet, base.config)
-    return DecoratedState(base=base, alphabet=alphabet, in_op_x=in_op_x, out_op_x=out_op_x)
+    alphabet = read["alphabet"]["alphabet"]
+    try:
+        _require_alphabet(alphabet, base.config)
+    except BoundsError as err:
+        lineno = next(n for n, section, _ in entries if section == "alphabet")
+        raise StateFormatError(f"line {lineno}: {err}") from None
+    return DecoratedState(base=base, alphabet=alphabet, in_op_x=read["inx"], out_op_x=read["outx"])
 
 
 def decorated_to_json(state: DecoratedState) -> dict:

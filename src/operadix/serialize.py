@@ -6,6 +6,11 @@ position sets rendered with numerically sorted elements.  Dumping and
 loading round-trip exactly, so dumps double as frozen test fixtures
 and as the on-disk state format of the command line tool.
 
+The entry grammar is one table, _FORMS: per section the pattern of an
+entry, the key it holds and the value read off it.  _read_sections
+reads every section through it, the decorated sections too, with one
+rule for a malformed entry and one for a repeated key.
+
 The bounds config is not part of a dump; the loaders take it
 separately, defaulting to the standard bounds, read a dump into a raw
 Sections record and build a FlatState only from a record that
@@ -16,17 +21,47 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator
+from operator import itemgetter
 
-from .core import Config, StateFormatError, is_operad_id
+from .core import _ID_RE, Config, StateFormatError
 from .flat_machine import FlatState, Sections, check_invariants
-
-SECTIONS = ("operads", "arity", "foliage", "in", "out", "hat", "hook", "ghook")
 
 _ARITY_RE = re.compile(r"([A-Za-z0-9_]+)->([0-9]+)\Z")
 _PAIR_RE = re.compile(r"\(([0-9]+),([A-Za-z0-9_]+)\)\Z")
 _SET_RE = re.compile(r"([A-Za-z0-9_]+)->\{([0-9,]*)\}\Z")
 _HAT_RE = re.compile(r"\(([0-9]+),([A-Za-z0-9_]+)\)->([A-Za-z0-9_]+)\Z")
 _MAP_RE = re.compile(r"([A-Za-z0-9_]+)->([A-Za-z0-9_]+)\Z")
+
+_op, _pair = itemgetter(1), (lambda m: (int(m[1]), m[2]))
+
+
+def _positions(m: re.Match, lineno: int) -> frozenset[int]:
+    """The position set of an in or out entry, {1,2} without its braces in group 2."""
+    if not m[2]:
+        return frozenset()
+    out = set()
+    for tok in m[2].split(","):
+        if not tok:
+            raise StateFormatError(f"line {lineno}: malformed position set")
+        out.add(int(tok))
+    return frozenset(out)
+
+
+# The entry grammar, in dump order.  section -> (the pattern of an entry
+# body, the key of a match, unique within the section, the value of a
+# match on line N, and the wording of a malformed and of a duplicate
+# entry where it is not _read_sections' own).
+_FORMS = {
+    "operads": (_ID_RE, itemgetter(0), lambda m, n: None, "bad operad id {body!r}", "duplicate operad {key!r}"),
+    "arity": (_ARITY_RE, _op, lambda m, n: int(m[2]), None, "duplicate arity for {key!r}"),
+    "foliage": (_PAIR_RE, _pair, lambda m, n: None, None, "duplicate foliage entry {body!r}"),
+    "in": (_SET_RE, _op, _positions, None, None),
+    "out": (_SET_RE, _op, _positions, None, None),
+    "hat": (_HAT_RE, _pair, lambda m, n: m[3], None, None),
+    "hook": (_MAP_RE, _op, lambda m, n: m[2], None, None),
+    "ghook": (_MAP_RE, _op, lambda m, n: m[2], None, None),
+}
+SECTIONS = tuple(_FORMS)
 
 
 def _set_text(positions) -> str:
@@ -48,17 +83,6 @@ def dump_state(state: FlatState | Sections) -> str:
         lines.append(f"[{name}]")
         lines.extend(sorted(entries[name]))
     return "\n".join(lines) + "\n"
-
-
-def _parse_positions(text: str, lineno: int) -> frozenset[int]:
-    if not text:
-        return frozenset()
-    out = set()
-    for tok in text.split(","):
-        if not tok:
-            raise StateFormatError(f"line {lineno}: malformed position set")
-        out.add(int(tok))
-    return frozenset(out)
 
 
 def _read_entries(text: str, sections: tuple[str, ...]) -> Iterator[tuple[int, str, str]]:
@@ -108,78 +132,44 @@ def _well_formed(record: Sections) -> FlatState:
     return record.to_state()
 
 
+def _read_sections(entries: Iterable[tuple[int, str, str]], forms: dict) -> dict[str, dict]:
+    """Each section's entries as {key: value} in line order, read by its row of forms.
+
+    An entry that does not match its pattern, or repeats a key of its
+    section, fails and names its line; the key is checked before the
+    value is read.
+    """
+    read: dict[str, dict] = {section: {} for section in forms}
+    for lineno, section, body in entries:
+        pattern, key_of, value_of, malformed, duplicate = forms[section]
+        m = pattern.match(body)
+        if not m:
+            malformed = malformed or "malformed {section} entry {body!r}"
+            raise StateFormatError(f"line {lineno}: " + malformed.format(section=section, body=body))
+        key, rows = key_of(m), read[section]
+        if key in rows:
+            duplicate = duplicate or "duplicate {section} entry for {key!r}"
+            raise StateFormatError(f"line {lineno}: " + duplicate.format(section=section, body=body, key=key))
+        rows[key] = value_of(m, lineno)
+    return read
+
+
 def _state_from_entries(entries: Iterable[tuple[int, str, str]], config: Config | None = None) -> Sections:
     """The record of the base-section entries that _read_entries yields."""
-    my_operads: set[str] = set()
-    arity_op: dict[str, int] = {}
-    foliage: set[tuple[int, str]] = set()
-    out_op: dict[str, frozenset[int]] = {}
-    in_op: dict[str, frozenset[int]] = {}
+    read = _read_sections(entries, _FORMS)
     hats: dict[str, dict[int, str]] = {}
-    hook_op: dict[str, str] = {}
-    g_hook_op: dict[str, str] = {}
-
-    for lineno, section, body in entries:
-        if section == "operads":
-            if not is_operad_id(body):
-                raise StateFormatError(f"line {lineno}: bad operad id {body!r}")
-            if body in my_operads:
-                raise StateFormatError(f"line {lineno}: duplicate operad {body!r}")
-            my_operads.add(body)
-        elif section == "arity":
-            m = _ARITY_RE.match(body)
-            if not m:
-                raise StateFormatError(f"line {lineno}: malformed arity entry {body!r}")
-            op = m.group(1)
-            if op in arity_op:
-                raise StateFormatError(f"line {lineno}: duplicate arity for {op!r}")
-            arity_op[op] = int(m.group(2))
-        elif section == "foliage":
-            m = _PAIR_RE.match(body)
-            if not m:
-                raise StateFormatError(f"line {lineno}: malformed foliage entry {body!r}")
-            pair = (int(m.group(1)), m.group(2))
-            if pair in foliage:
-                raise StateFormatError(f"line {lineno}: duplicate foliage entry {body!r}")
-            foliage.add(pair)
-        elif section in ("in", "out"):
-            m = _SET_RE.match(body)
-            if not m:
-                raise StateFormatError(f"line {lineno}: malformed {section} entry {body!r}")
-            op = m.group(1)
-            target = in_op if section == "in" else out_op
-            if op in target:
-                raise StateFormatError(f"line {lineno}: duplicate {section} entry for {op!r}")
-            target[op] = _parse_positions(m.group(2), lineno)
-        elif section == "hat":
-            m = _HAT_RE.match(body)
-            if not m:
-                raise StateFormatError(f"line {lineno}: malformed hat entry {body!r}")
-            p, root = int(m.group(1)), m.group(2)
-            row = hats.setdefault(root, {})
-            if p in row:
-                raise StateFormatError(f"line {lineno}: duplicate hat entry for {(p, root)}")
-            row[p] = m.group(3)
-        else:
-            m = _MAP_RE.match(body)
-            if not m:
-                raise StateFormatError(f"line {lineno}: malformed {section} entry {body!r}")
-            op = m.group(1)
-            target = hook_op if section == "hook" else g_hook_op
-            if op in target:
-                raise StateFormatError(f"line {lineno}: duplicate {section} entry for {op!r}")
-            target[op] = m.group(2)
-
+    for (p, root), member in read["hat"].items():
+        hats.setdefault(root, {})[p] = member
     return Sections(
         config=config or Config(),
-        my_operads=frozenset(my_operads),
-        arity_op=arity_op,
-        foliage=frozenset(foliage),
-        out_op=out_op,
-        in_op=in_op,
+        my_operads=frozenset(read["operads"]),
+        arity_op=read["arity"],
+        foliage=frozenset(read["foliage"]),
+        out_op=read["out"],
+        in_op=read["in"],
         hats=hats,
-        hook_op=hook_op,
-        g_hook_op=g_hook_op,
+        hook_op=read["hook"],
+        g_hook_op=read["ghook"],
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import BoundsError, OperadError, OperadId, Position
-from .flat_machine import FlatState, component_of, foliage_of, hat_map_of, hook_map_of
+from .flat_machine import FlatState, component_of
 
 
 class DuplicateLabels(OperadError):
@@ -159,11 +159,11 @@ def compare_with_flat(state: FlatState, root: OperadId, tree: TreeOperad) -> lis
     or arity mismatch.
 
     Cost: O(state) per call on a FlatState, for its views: in_op is
-    read once and hook_op by each root query; the rest is
-    O(component).  The tree is walked once in its lifetime (the walk
-    is cached on it), the machine side is read from root's hats and
-    members rows, and each member costs one lookup in in_op and
-    arity_op.  To check a whole state against its mirrors, use
+    built once and hook_op twice, once by component_of's root check;
+    the rest is O(component).  The tree is walked once in its life
+    (the walk is cached on it), the machine side is read from root's
+    hats and members rows, and each member costs one lookup in in_op
+    and arity_op.  To check a whole state against its mirrors, use
     MirrorForest.agrees_with; this comparison runs only to explain a
     mismatch, root by root.
     """
@@ -174,11 +174,11 @@ def compare_with_flat(state: FlatState, root: OperadId, tree: TreeOperad) -> lis
         problems.append(f"root: machine says {root!r}, tree says {tree.label!r}")
         return problems
 
-    fol = foliage_of(state, root)
+    members = sorted(component_of(state, root))
+    fol = tuple(sorted(state._foliage_rows.get(root, ())))
     if fol != view.foliage:
         problems.append(f"foliage: machine {fol} != tree {view.foliage}")
 
-    members = sorted(component_of(state, root))
     if members != sorted(view.in_map):
         problems.append(f"members: machine {members} != tree {sorted(view.in_map)}")
         return problems
@@ -188,11 +188,12 @@ def compare_with_flat(state: FlatState, root: OperadId, tree: TreeOperad) -> lis
     if flat_in != view.in_map:
         problems.append(f"in: machine {flat_in} != tree {view.in_map}")
 
-    flat_hat = hat_map_of(state, root)
+    flat_hat = state.hats.get(root, {})
     if flat_hat != view.hat_map:
         problems.append(f"hat: machine {flat_hat} != tree {view.hat_map}")
 
-    flat_hook = hook_map_of(state, root)
+    hook_op = state.hook_op
+    flat_hook = {oo: hook_op[oo] for oo in members if oo in hook_op}
     if flat_hook != view.hook_map:
         problems.append(f"hook: machine {flat_hook} != tree {view.hook_map}")
 

@@ -157,6 +157,13 @@ def test_check_json(tmp_path, capsys):
     assert data == {"ok": False, "violations": ["SP2", "SP3"], "gluing": []}
 
 
+def test_check_names_a_bad_alphabet_line(tmp_path, capsys):
+    path = tmp_path / "short.dump"
+    path.write_text("[operads]\n[alphabet]\nalphabet: a,,b\n")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == "error: line 3: alphabet has 3 symbols, needs at least max_args = 6\n"
+
+
 def two_roots(**changes):
     """The roots f:3 and h:2, with some relations replaced."""
     return replace(replay(parse_trace("new f 3 1\nnew h 2 1\n")), **changes)

@@ -220,6 +220,62 @@ def test_load_decorated_rejects_malformed(text):
         load_decorated(text)
 
 
+ALPHABET = "[alphabet]\nalphabet: a,b,c,d,e,f\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # one malformed and one repeated entry in each decoration section
+        (ALPHABET + "[alphabet]\nalphabet: a,b,c,d,e,f\n", "line 4: alphabet given twice"),
+        (ALPHABET + "[inx]\ninx: f->1\n", "line 4: malformed inx entry 'f->1'"),
+        (ALPHABET + "[inx]\ninx: f->{1:a}\ninx: f->{2:b}\n", "line 5: duplicate inx entry for 'f'"),
+        (ALPHABET + "[outx]\noutx: f->\n", "line 4: malformed outx entry 'f->'"),
+        (ALPHABET + "[outx]\noutx: f->a\noutx: f->b\n", "line 5: duplicate outx entry for 'f'"),
+        # the slot list, read after its key
+        (ALPHABET + "[inx]\ninx: f->{1a}\n", "line 4: malformed slot decoration '1a'"),
+        (ALPHABET + "[inx]\ninx: f->{1:a,,2:b}\n", "line 4: malformed slot decoration ''"),
+        (ALPHABET + "[inx]\ninx: f->{1:a,1:b}\n", "line 4: slot 1 decorated twice"),
+        (ALPHABET + "[inx]\ninx: f->{1:a}\ninx: f->{1a}\n", "line 5: duplicate inx entry for 'f'"),
+        # base entries in a decorated dump
+        (ALPHABET + "[operads]\noperads: f\noperads: f\n", "line 5: duplicate operad 'f'"),
+        (ALPHABET + "[hat]\nhat: (1,f)->f\nhat: (1,f)->g\n", "line 5: duplicate hat entry for (1, 'f')"),
+        # the line grammar
+        ("[operads]\noperads: f\n[inx]\ninx: f->{}\n", "decorated dump is missing the [alphabet] section"),
+        (ALPHABET + "[nonsense]\n", "line 3: unknown section [nonsense]"),
+        ("inx: f->{}\n" + ALPHABET, "line 1: entry before any section header"),
+        (ALPHABET + "[inx]\noutx: f->a\n", "line 4: expected a 'inx' entry, got 'outx: f->a'"),
+        # the order: every line's grammar, then the base entries, then the decoration entries
+        ("[arity]\narity: f->x\n[nonsense]\n", "line 3: unknown section [nonsense]"),
+        (ALPHABET + "[inx]\ninx: f->1\n[arity]\narity: f->x\n", "line 6: malformed arity entry 'f->x'"),
+        ("[inx]\ninx: f->1\n", "line 2: malformed inx entry 'f->1'"),
+        ("[alphabet]\nalphabet: a\n[outx]\noutx: f->\n", "line 4: malformed outx entry 'f->'"),
+    ],
+)
+def test_load_decorated_names_the_bad_line(text, message):
+    with pytest.raises(StateFormatError) as err:
+        load_decorated(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("alphabet: a,,b", "alphabet has 3 symbols, needs at least max_args = 6"),
+        ("alphabet: a,b,c,d,e,a", "alphabet symbols must be distinct"),
+        ("alphabet: a,b,c,d,e,", "symbol '' must be letters, digits or underscores"),
+    ],
+)
+def test_a_bad_alphabet_line_names_its_line(line, message):
+    # the alphabet is checked last, after every entry reads
+    text = f"[operads]\n[alphabet]\n# symbols\n{line}\n[inx]\n[outx]\n"
+    with pytest.raises(StateFormatError) as err:
+        load_decorated(text)
+    assert str(err.value) == f"line 4: {message}"
+    with pytest.raises(StateFormatError, match=r"^line 6: malformed inx entry"):
+        load_decorated(text.replace("[inx]\n", "[inx]\ninx: f\n"))
+
+
 def test_load_decorated_reports_true_line_numbers():
     # the [alphabet] block comes first and line 10 is corrupt
     text = (

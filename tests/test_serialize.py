@@ -135,6 +135,35 @@ def test_load_rejects_malformed(text):
         ("[hat]\nhat: (1,f)->f\nhat: (1,f)->g\n", "line 3: duplicate hat entry for (1, 'f')"),
         ("[hat]\nhat: (1,f)f\n", "line 2: malformed hat entry '(1,f)f'"),
         ("[hat]\nhat: (١,f)->f\n", "line 2: malformed hat entry '(١,f)->f'"),
+        # one malformed and one repeated entry in each section
+        ("[operads]\noperads: f-g\n", "line 2: bad operad id 'f-g'"),
+        ("[operads]\noperads: f\n# again\noperads: f\n", "line 4: duplicate operad 'f'"),
+        ("[arity]\narity: f->x\n", "line 2: malformed arity entry 'f->x'"),
+        ("[arity]\narity: f->2\narity: f->3\n", "line 3: duplicate arity for 'f'"),
+        ("[foliage]\nfoliage: 1,f\n", "line 2: malformed foliage entry '1,f'"),
+        ("[foliage]\nfoliage: (1,f)\nfoliage: (1,f)\n", "line 3: duplicate foliage entry '(1,f)'"),
+        ("[in]\nin: f->{1\n", "line 2: malformed in entry 'f->{1'"),
+        ("[in]\nin: f->{1}\nin: f->{2}\n", "line 3: duplicate in entry for 'f'"),
+        ("[out]\nout: f->1\n", "line 2: malformed out entry 'f->1'"),
+        ("[out]\nout: f->{1}\n\nout: f->{}\n", "line 4: duplicate out entry for 'f'"),
+        ("[hook]\nhook: g-f\n", "line 2: malformed hook entry 'g-f'"),
+        ("[hook]\nhook: g->f\nhook: g->h\n", "line 3: duplicate hook entry for 'g'"),
+        ("[ghook]\nghook: g->\n", "line 2: malformed ghook entry 'g->'"),
+        ("[ghook]\nghook: g->f\nghook: g->f\n", "line 3: duplicate ghook entry for 'g'"),
+        # the entry's position set, read after its key
+        ("[in]\nin: f->{1,,2}\n", "line 2: malformed position set"),
+        ("[out]\nout: f->{,}\n", "line 2: malformed position set"),
+        ("[in]\nin: f->{1}\nin: f->{1,,2}\n", "line 3: duplicate in entry for 'f'"),
+        ("[out]\nout: f->{1}\nout: f->{,}\n", "line 3: duplicate out entry for 'f'"),
+        # the line grammar
+        ("[nonsense]\n", "line 1: unknown section [nonsense]"),
+        ("[operads]\n[alphabet]\n", "line 2: unknown section [alphabet]"),
+        ("# header next\noperads: f\n", "line 2: entry before any section header"),
+        ("[operads]\narity: f->2\n", "line 2: expected a 'operads' entry, got 'arity: f->2'"),
+        ("[operads]\noperads f\n", "line 2: expected a 'operads' entry, got 'operads f'"),
+        # the first bad line wins, whatever its kind
+        ("[arity]\narity: f->x\n[nonsense]\n", "line 2: malformed arity entry 'f->x'"),
+        ("[hook]\nhook: g->f\nhook: g->f\n[arity]\narity: f->x\n", "line 3: duplicate hook entry for 'g'"),
     ],
 )
 def test_load_names_the_bad_hat_line(text, message):
