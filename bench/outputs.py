@@ -29,6 +29,14 @@ edited), runs the text after every edit through in-process
 ``operadix.cli.main`` with ``check --json -`` and with ``export -``,
 and hashes the exit codes, stdout and stderr per block of 50 programs.
 
+To gate the output of failing runs, it makes ``run()`` compose through
+one of two corruptions, as ``tests/test_simulator.py``'s
+``patch_compose`` does: ``swap`` swaps the owners of two slots of op1's
+row, and ``drop`` hands op2's slots to op1 on every other compose.  It
+runs seeds ``FAILING_SEEDS`` × ``oracle_check_every`` 0, 1 and 3 at
+``FAILING_STEPS`` steps under each and hashes ``format_report`` and
+``report_to_json`` per config.
+
 It prints one hash per config and block, lists those whose hashes
 differ between the sides, and exits 1 if any does.  Standard library
 only.
@@ -87,6 +95,43 @@ for start in range(0, len(programs), {block}):
     hashes[name] = hashlib.sha256("\\0".join(parts).encode()).hexdigest()
 print(json.dumps(hashes))
 """
+FAILING_SEEDS = (1, 2, 3, 4)
+FAILING_STEPS = 120
+FAILING_HASHER = """\
+import hashlib, json
+from dataclasses import replace
+from operadix import SimConfig, format_report, report_to_json, run
+from operadix import flat_machine, simulator
+compose = flat_machine.compose_seq_with_witness
+
+def swap(state, op1, op2):
+    row = state.hats[op1]
+    first = min(row)
+    other = min((p for p in row if row[p] != row[first]), default=None)
+    if other is None:
+        return state
+    return replace(state, hats={{**state.hats, op1: {{**row, first: row[other], other: row[first]}}}})
+
+def drop(state, op1, op2):
+    if len(state.g_hook_op) % 2:
+        row = {{p: op1 if m == op2 else m for p, m in state.hats[op1].items()}}
+        return replace(state, hats={{**state.hats, op1: row}})
+    return state
+
+hashes = {{}}
+for corrupt in (swap, drop):
+    def corrupting(state, op1, ii, op2, corrupt=corrupt):
+        after, witness = compose(state, op1, ii, op2)
+        return corrupt(after, op1, op2), witness
+    simulator.compose_seq_with_witness = flat_machine.compose_seq_with_witness = corrupting
+    for seed in {seeds}:
+        for every in {every}:
+            report = run(SimConfig(seed=seed, max_steps={steps}, oracle_check_every=every))
+            text = format_report(report) + "\\0" + json.dumps(report_to_json(report))
+            name = f"failing {{corrupt.__name__}} seed={{seed}} oracle_check_every={{every}}"
+            hashes[name] = hashlib.sha256(text.encode()).hexdigest()
+print(json.dumps(hashes))
+"""
 READER_PROGRAMS = 200
 READER_EDITS = 5
 READER_HASHER = """\
@@ -142,6 +187,7 @@ def output_hashes(checkout: Path) -> dict[str, str]:
         HASHER.format(seeds=SEEDS, max_oprd=MAX_OPRD, every=ORACLE_EVERY, steps=STEPS),
         TEXT_HASHER.format(seed=TEXT_SEED, programs=TEXT_PROGRAMS, block=TEXT_BLOCK),
         READER_HASHER.format(seed=TEXT_SEED, programs=READER_PROGRAMS, block=TEXT_BLOCK, edits=READER_EDITS),
+        FAILING_HASHER.format(seeds=FAILING_SEEDS, every=ORACLE_EVERY, steps=FAILING_STEPS),
     ):
         proc = subprocess.run([sys.executable, "-B", "-c", code], cwd=checkout, env=env, capture_output=True, text=True)
         if proc.returncode != 0:

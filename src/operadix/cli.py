@@ -25,7 +25,7 @@ import os
 import re
 import sys
 
-from .core import BoundsError, Config, OperadError, config_from_entries, parse_config_entries
+from .core import _CONFIG_KEYS, BoundsError, Config, OperadError, config_from_entries, parse_config_entries
 from .decoration import _read_decorated, check_gluing, decorated_to_json
 from .endomorphism import format_fn, interpret, parse_fn_spec, sweep_identity, sweep_parallel, sweep_sequential
 from .expr_parser import elaborate, parse, print_program
@@ -66,12 +66,7 @@ def _read(path: str) -> str:
 def _resolve_config(args) -> Config:
     path = args.config or os.environ.get("OPERADIX_CONFIG")
     entries = parse_config_entries(_read(path)) if path else {}
-    return config_from_entries(
-        entries,
-        max_args=args.max_args,
-        max_oprd=args.max_oprd,
-        max_fol=args.max_fol,
-    )
+    return config_from_entries(entries, **{key: getattr(args, key) for key in _CONFIG_KEYS})
 
 
 def _emit_json(payload) -> None:
@@ -205,9 +200,8 @@ def cmd_export(args, cfg: Config) -> int:
 def build_parser() -> _ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="bounds file with key=value lines")
-    common.add_argument("--max-args", type=_int, help="override max_args")
-    common.add_argument("--max-oprd", type=_int, help="override max_oprd")
-    common.add_argument("--max-fol", type=_int, help="override max_fol")
+    for key in _CONFIG_KEYS:
+        common.add_argument(f"--{key.replace('_', '-')}", type=_int, help=f"override {key}")
     common.add_argument("--json", action="store_true", help="JSON output")
 
     parser = _ArgumentParser(prog="operadix", description="operads as data")
@@ -229,7 +223,7 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--steps", type=_int, default=1000)
     p.add_argument("--oracle-every", type=_int, default=0,
-                   help="report mismatches with the mirror trees root by root every N fired events")
+                   help="count an oracle check every N fired events")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("axioms", parents=[common], help="exhaustive axiom sweeps on finite functions")

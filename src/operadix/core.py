@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Collection
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 
 OperadId = str
 Position = int
@@ -112,7 +112,7 @@ def _arities_ok(arities: Collection[object], config: Config) -> bool:
     )
 
 
-_CONFIG_KEYS = ("max_args", "max_oprd", "max_fol")
+_CONFIG_KEYS = tuple(f.name for f in dataclass_fields(Config))
 
 
 def parse_config_entries(text: str) -> dict[str, str]:

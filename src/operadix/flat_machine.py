@@ -300,11 +300,7 @@ def compose_seq_with_witness(
     cardfol2 = len(hat2)
     witness = ComposeWitness(op1, op2, ii, cardfol1, cardfol2)
 
-    # op1's row drops the slots op1 owns (its input set, by SP2); its other members'
-    # slots keep their place, with new owners, and the rest follow in moved() order
-    row = dict.fromkeys(p for p, m in hat1.items() if m != op1)
-    row.update(witness.moved(hat1, hat2))
-    new_hats = {**state.hats, op1: row}
+    new_hats = {**state.hats, op1: witness.moved(hat1, hat2)}
     del new_hats[op2]
     # op2 hangs from the member owning slot ii; op2's own row keeps its parents
     new_members = {**members, op1: {**members.get(op1, {}), op2: hat_op_ii, **members.get(op2, {})}}

@@ -6,9 +6,10 @@ MirrorForest updated in O(component) per event.  The forest's
 agreement with the state, one equality per relation, gives every
 event's invariant verdict: a state the forest agrees with and within
 the bounds breaks no invariant, so check_invariants runs only to name
-the labels of a failure.  Every oracle_check_every-th event counts as
-an oracle check, and there a disagreement is explained root by root
-with compare_with_flat, whose labels the report carries.  A run is
+the labels of a failure.  Every disagreement is also explained root by
+root with compare_with_flat, whose labels the report carries, so a
+clean run never compares a root.  oracle_check_every only sets how
+many events the report counts as oracle checks.  A run is
 fully determined by its SimConfig: the sampler draws from a seeded
 Mersenne Twister and never iterates an unordered container, so the
 same config always produces the same report, byte for byte.
@@ -164,7 +165,8 @@ def run(sim: SimConfig) -> SimReport:
         fired[name] = fired.get(name, 0) + 1
         trace.append(event)
 
-        checked = sim.oracle_check_every > 0 and fired_count % sim.oracle_check_every == 0
+        if sim.oracle_check_every and fired_count % sim.oracle_check_every == 0:
+            oracle_checks += 1
         agrees = forest.agrees_with(state)
 
         bad = _verdict(state, agrees)
@@ -174,17 +176,12 @@ def run(sim: SimConfig) -> SimReport:
             laws = composition_law_violations(state, witness)
             if laws:
                 violations.append(Violation(fired_count, "law", tuple(laws), event, dump_state(state)))
-
-        if checked:
-            oracle_checks += 1
-            if not agrees:
-                # a mismatch: compare root by root, for its exact labels
-                for root_id in sorted(forest.trees):
-                    problems = compare_with_flat(state, root_id, forest.trees[root_id])
-                    if problems:
-                        violations.append(
-                            Violation(fired_count, "oracle", tuple(problems), event, dump_state(state))
-                        )
+        if not agrees:
+            # a mismatch: compare root by root, for its exact labels
+            for root_id in sorted(forest.trees):
+                problems = compare_with_flat(state, root_id, forest.trees[root_id])
+                if problems:
+                    violations.append(Violation(fired_count, "oracle", tuple(problems), event, dump_state(state)))
 
     return SimReport(
         seed=sim.seed,

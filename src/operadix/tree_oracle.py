@@ -151,21 +151,20 @@ def derive_flat_view(tree: TreeOperad) -> FlatView:
 def compare_with_flat(state: FlatState, root: OperadId, tree: TreeOperad) -> list[str]:
     """Mismatches between a machine composite and its mirror tree.
 
-    Empty result means the flat relations restricted to root's
-    component agree exactly with the relations recomputed from the
-    tree.  The component is read from root's members row, so comparing
-    members also checks that every grafted member is listed under the
-    root.  A member with no in_op or arity_op entry shows up as an in
-    or arity mismatch.
+    Empty result means root's slices of the three stored relations
+    equal those the tree describes: its component, read from root's
+    members row, against the tree's labels; root's hats row; root's
+    members row; and each member's arity.  So it is agrees_with
+    restricted to one root.  The input sets and the foliage are views
+    of the hats rows, so a drift in them shows up as a hat or arity
+    mismatch; a member that owns a slot in another root's row shows
+    up as a hat mismatch on that root.
 
-    Cost: O(state) per call on a FlatState, for its views: in_op is
-    built once and hook_op twice, once by component_of's root check;
-    the rest is O(component).  The tree is walked once in its life
-    (the walk is cached on it), the machine side is read from root's
-    hats and members rows, and each member costs one lookup in in_op
-    and arity_op.  To check a whole state against its mirrors, use
-    MirrorForest.agrees_with; this comparison runs only to explain a
-    mismatch, root by root.
+    Cost: O(component) per call, but for component_of's root check,
+    which builds the hook_op view once.  The tree is walked once in
+    its life (the walk is cached on it).  To check a whole state
+    against its mirrors, use MirrorForest.agrees_with; this comparison
+    runs only to explain a mismatch, root by root.
     """
     problems: list[str] = []
     view, arities = tree._walked
@@ -175,25 +174,15 @@ def compare_with_flat(state: FlatState, root: OperadId, tree: TreeOperad) -> lis
         return problems
 
     members = sorted(component_of(state, root))
-    fol = tuple(sorted(state._foliage_rows.get(root, ())))
-    if fol != view.foliage:
-        problems.append(f"foliage: machine {fol} != tree {view.foliage}")
-
-    if members != sorted(view.in_map):
-        problems.append(f"members: machine {members} != tree {sorted(view.in_map)}")
+    if members != sorted(arities):
+        problems.append(f"members: machine {members} != tree {sorted(arities)}")
         return problems
-
-    in_op = state.in_op
-    flat_in = {oo: in_op[oo] for oo in members if oo in in_op}
-    if flat_in != view.in_map:
-        problems.append(f"in: machine {flat_in} != tree {view.in_map}")
 
     flat_hat = state.hats.get(root, {})
     if flat_hat != view.hat_map:
         problems.append(f"hat: machine {flat_hat} != tree {view.hat_map}")
 
-    hook_op = state.hook_op
-    flat_hook = {oo: hook_op[oo] for oo in members if oo in hook_op}
+    flat_hook = state.members.get(root, {})
     if flat_hook != view.hook_map:
         problems.append(f"hook: machine {flat_hook} != tree {view.hook_map}")
 
@@ -255,11 +244,9 @@ class MirrorForest:
     def agrees_with(self, state: FlatState) -> bool:
         """Whether each of the three stored relations of state equals the forest's.
 
-        When they do, compare_with_flat finds nothing on any root: each
-        root's slice of the state is its tree's view, the trees are keyed
-        by their labels, the in_op view, read off arity_op and the hats,
-        is each tree's in_map, and the hook_op view, read off the members
-        rows, is each tree's hook_map.  It is stricter than those
-        comparisons, since an entry under no tree's root also makes it false.
+        compare_with_flat is this comparison restricted to one root, so
+        when it holds, compare_with_flat finds nothing on any root.  It
+        is stricter than those comparisons together, since an entry under
+        no tree's root also makes it false.
         """
         return state.arity_op == self.arity_op and state.hats == self.hats and state.members == self.members

@@ -24,7 +24,7 @@ from operadix import (
     replay,
     state_to_json,
 )
-from operadix.cli import main
+from operadix.cli import _resolve_config, build_parser, main
 from operadix.serialize import _read_state
 
 PROGRAM = "f:4; g:3; h:3; (f o_2 g) o_4 h\n"
@@ -382,6 +382,13 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     # a flag widens the cap again
     assert main(["parse", "--config", str(cfg), "--max-args", "3", str(prog)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("key, value", [("max_args", 1), ("max_oprd", 1), ("max_fol", 49)])
+def test_each_bound_has_its_own_flag(key, value):
+    # one --max-* flag per Config field, and it overrides that field alone
+    args = build_parser().parse_args(["check", f"--{key.replace('_', '-')}", str(value), "-"])
+    assert _resolve_config(args) == replace(Config(), **{key: value})
 
 
 def test_config_env_fallback(tmp_path, monkeypatch, capsys):

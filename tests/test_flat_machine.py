@@ -478,3 +478,19 @@ def test_two_step_compose_keeps_invariants(n, m, k, data):
     )
     assert foliage_of(s, "f") == tuple(range(1, n + m + k - 1))
     assert check_invariants(s) == []
+
+
+@given(
+    n=st.integers(2, 5),
+    m=st.integers(1, 4),
+    k=st.integers(1, 4),
+    data=st.data(),
+)
+def test_compose_lists_each_row_in_label_order(n, m, k, data):
+    ii = data.draw(st.integers(1, n))
+    jj = data.draw(st.integers(1, n + m - 1))
+    s = build(
+        NewOperad("f", n), NewOperad("g", m), NewOperad("h", k),
+        ComposeSeq("f", ii, "g"), ComposeSeq("f", jj, "h"),
+    )
+    assert list(s.hats["f"]) == sorted(s.hats["f"])

@@ -226,12 +226,12 @@ def patch_compose(monkeypatch, corrupt):
     monkeypatch.setattr(flat_machine, "compose_seq_with_witness", corrupting)
 
 
-def expected_violations(trace, every):
+def expected_violations(trace):
     """The invariant and oracle violations of a run, from its replayed states.
 
-    Each fired event's state is replayed from the trace and checked in
-    full by check_invariants, and on every every-th event (none if every
-    is 0) compared root by root with mirror trees grafted one by one.
+    Each fired event's state is replayed from the trace, checked in full
+    by check_invariants and compared root by root with mirror trees
+    grafted one by one.
     """
     expected, mirrors, step = [], {}, 0
     for end, event in enumerate(trace, start=1):
@@ -248,11 +248,10 @@ def expected_violations(trace, every):
         bad = check_invariants(state)
         if bad:
             expected.append((step, "invariant", tuple(bad)))
-        if every and step % every == 0:
-            for root in sorted(mirrors):
-                problems = compare_with_flat(state, root, mirrors[root])
-                if problems:
-                    expected.append((step, "oracle", tuple(problems)))
+        for root in sorted(mirrors):
+            problems = compare_with_flat(state, root, mirrors[root])
+            if problems:
+                expected.append((step, "oracle", tuple(problems)))
     return expected
 
 
@@ -261,7 +260,16 @@ def test_oracle_reports_an_owner_swap_root_by_root(monkeypatch):
     report = run(SimConfig(seed=3, max_steps=120, oracle_check_every=1))
     assert report.oracle_checks == 120
     assert {v.kind for v in report.violations} == {"oracle"}
-    assert [(v.step, v.kind, v.labels) for v in report.violations] == expected_violations(report.trace, 1)
+    assert [(v.step, v.kind, v.labels) for v in report.violations] == expected_violations(report.trace)
+
+
+def test_an_owner_swap_is_reported_whatever_the_oracle_count(monkeypatch):
+    # every disagreement is explained; oracle_check_every only sets the count
+    patch_compose(monkeypatch, lambda state, op1, op2: swap_two_owners(state, op1))
+    reports = [run(SimConfig(seed=3, max_steps=120, oracle_check_every=every)) for every in (0, 1, 7)]
+    assert [r.oracle_checks for r in reports] == [0, 120, 17]
+    assert reports[0].violations and {v.kind for v in reports[0].violations} == {"oracle"}
+    assert reports[0].violations == reports[1].violations == reports[2].violations
 
 
 @pytest.mark.parametrize("every", [0, 1, 2])
@@ -276,8 +284,9 @@ def test_verdict_matches_check_invariants_under_a_dropped_input_set(monkeypatch,
 
     patch_compose(monkeypatch, dropping)
     report = run(SimConfig(seed=3, max_steps=120, oracle_check_every=every))
-    expected = expected_violations(report.trace, every)
-    assert {kind for _, kind, _ in expected} == ({"invariant", "oracle"} if every else {"invariant"})
+    expected = expected_violations(report.trace)
+    assert report.oracle_checks == (120 // every if every else 0)
+    assert {kind for _, kind, _ in expected} == {"invariant", "oracle"}
     assert [(v.step, v.kind, v.labels) for v in report.violations if v.kind != "law"] == expected
 
 

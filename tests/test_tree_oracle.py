@@ -15,13 +15,11 @@ from operadix import (
     compare_with_flat,
     component_of,
     derive_flat_view,
-    dump_state,
     elementary,
     empty_state,
     format_tree,
     graft,
 )
-from operadix.serialize import _read_state
 from operadix.tree_oracle import MirrorForest
 
 
@@ -176,20 +174,8 @@ def machine_nested_state():
     return s
 
 
-def sections(state):
-    """The raw record of state's dump, whose in section, unlike a FlatState's in_op, can drift from the hats."""
-    return _read_state(dump_state(state), state.config)
-
-
 def test_machine_agrees_with_tree():
     assert compare_with_flat(machine_nested_state(), "f", nested_tree()) == []
-
-
-def test_comparison_reports_input_drift():
-    s = machine_nested_state()
-    bad = replace(sections(s), in_op={**s.in_op, "g": frozenset({2, 3, 4})})
-    problems = compare_with_flat(bad, "f", nested_tree())
-    assert problems and any(p.startswith("in:") for p in problems)
 
 
 def test_comparison_reports_wrong_root():
@@ -218,15 +204,12 @@ PINNED_MISMATCHES = {
         ["root: machine says 'f', tree says 'x'"],
     ),
     # a ninth hat is also a ninth leaf and a ninth input, since the foliage
-    # is the hats' keys and the input sets are read off the hats
+    # is the hats' keys and the input sets are read off the hats: the hat row shows all three
     "foliage": (
         lambda s: replace(s, hats={"f": {**s.hats["f"], 9: "f"}}),
         nested_tree,
         [
-            "foliage: machine (1, 2, 3, 4, 5, 6, 7, 8, 9) != tree (1, 2, 3, 4, 5, 6, 7, 8)",
-            "in: machine {'f': frozenset({8, 1, 9, 7}), 'g': frozenset({2, 3}), 'h': frozenset({4, 5, 6})} "
-            "!= tree {'f': frozenset({8, 1, 7}), 'g': frozenset({2, 3}), 'h': frozenset({4, 5, 6})}",
-            "hat: machine {2: 'g', 3: 'g', 4: 'h', 1: 'f', 5: 'h', 6: 'h', 7: 'f', 8: 'f', 9: 'f'} "
+            "hat: machine {1: 'f', 2: 'g', 3: 'g', 4: 'h', 5: 'h', 6: 'h', 7: 'f', 8: 'f', 9: 'f'} "
             "!= tree {1: 'f', 2: 'g', 3: 'g', 4: 'h', 5: 'h', 6: 'h', 7: 'f', 8: 'f'}",
         ],
     ),
@@ -235,23 +218,11 @@ PINNED_MISMATCHES = {
         nested_tree,
         ["members: machine ['f', 'g', 'h', 'k'] != tree ['f', 'g', 'h']"],
     ),
-    # only a dump's record can hold input sets that drift from its hats
-    "in": (
-        lambda s: replace(sections(s), in_op={**s.in_op, "g": frozenset({2, 3, 4})}),
-        nested_tree,
-        [
-            "in: machine {'f': frozenset({8, 1, 7}), 'g': frozenset({2, 3, 4}), "
-            "'h': frozenset({4, 5, 6})} != tree {'f': frozenset({8, 1, 7}), "
-            "'g': frozenset({2, 3}), 'h': frozenset({4, 5, 6})}"
-        ],
-    ),
     "hat": (
         lambda s: replace(s, hats={"f": {**s.hats["f"], 5: "g"}}),
         nested_tree,
         [
-            "in: machine {'f': frozenset({8, 1, 7}), 'g': frozenset({2, 3, 5}), 'h': frozenset({4, 6})} "
-            "!= tree {'f': frozenset({8, 1, 7}), 'g': frozenset({2, 3}), 'h': frozenset({4, 5, 6})}",
-            "hat: machine {2: 'g', 3: 'g', 4: 'h', 1: 'f', 5: 'g', 6: 'h', 7: 'f', 8: 'f'} "
+            "hat: machine {1: 'f', 2: 'g', 3: 'g', 4: 'h', 5: 'g', 6: 'h', 7: 'f', 8: 'f'} "
             "!= tree {1: 'f', 2: 'g', 3: 'g', 4: 'h', 5: 'h', 6: 'h', 7: 'f', 8: 'f'}"
         ],
     ),
@@ -287,21 +258,17 @@ def test_comparison_rejects_grafted_root():
         compare_with_flat(grafted, "f", nested_tree())
 
 
-def test_comparison_reports_missing_input_entry():
-    s = machine_nested_state()
-    bad = replace(sections(s), in_op={k: v for k, v in s.in_op.items() if k != "g"})
-    assert compare_with_flat(bad, "f", nested_tree()) == [
-        "in: machine {'f': frozenset({8, 1, 7}), 'h': frozenset({4, 5, 6})} != tree "
-        "{'f': frozenset({8, 1, 7}), 'g': frozenset({2, 3}), 'h': frozenset({4, 5, 6})}"
-    ]
-
-
 def test_comparison_reports_missing_arity_entry():
     s = machine_nested_state()
     bad = replace(s, arity_op={k: v for k, v in s.arity_op.items() if k != "h"})
-    # the input sets are keyed by the operads, so h's goes with its arity
-    assert compare_with_flat(bad, "f", nested_tree()) == [
-        "in: machine {'f': frozenset({8, 1, 7}), 'g': frozenset({2, 3})} != tree "
-        "{'f': frozenset({8, 1, 7}), 'g': frozenset({2, 3}), 'h': frozenset({4, 5, 6})}",
-        "arity: machine says 'h' has None, tree says 3",
-    ]
+    assert compare_with_flat(bad, "f", nested_tree()) == ["arity: machine says 'h' has None, tree says 3"]
+
+
+def test_a_slot_owned_across_components_shows_on_the_other_root():
+    # g, grafted below f, owns slot 1 of k's row: f's own slices are intact
+    s = empty_state()
+    for ev in [NewOperad("f", 2), NewOperad("g", 1), NewOperad("k", 2), ComposeSeq("f", 1, "g")]:
+        s = apply_event(s, ev)
+    bad = replace(s, hats={**s.hats, "k": {1: "g", 2: "k"}})
+    assert compare_with_flat(bad, "k", elementary("k", 2)) == ["hat: machine {1: 'g', 2: 'k'} != tree {1: 'k', 2: 'k'}"]
+    assert compare_with_flat(bad, "f", graft(elementary("f", 2), 1, elementary("g", 1))) == []
